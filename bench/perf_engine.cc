@@ -20,7 +20,10 @@
 //              BENCH_fabric.json. Reports honest host wall-clock plus each
 //              lane's event share — the serial fraction that bounds the
 //              speedup a multicore host can extract (speedup <= 1/share);
-//              host_cpus records how many cores this host actually had.
+//              host_cpus records how many CPUs this process could run on.
+//              Each row also prints the lookahead windows in the measured
+//              span and how often a lane parked on the futex per window
+//              (about 0 while the lanes spin; up to N-1 when oversubscribed).
 //              With --check: asserts the N-lane run reproduces the 1-lane
 //              digest bit-for-bit, performs zero steady-state allocations
 //              on every lane, and stays balanced enough that >= 2x speedup
@@ -34,12 +37,12 @@
 #include <memory>
 #include <new>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "src/core/steering.h"
 #include "src/core/testbed.h"
 #include "src/fabric/incast.h"
+#include "src/host/affinity.h"
 #include "src/metrics/report.h"
 #include "src/trace/stack_trace.h"
 #include "src/workload/iperf.h"
@@ -191,11 +194,16 @@ struct FabricPerf {
   uint64_t allocs = 0;
   double wall_seconds = 0.0;
   double max_lane_share = 0.0;
+  uint64_t windows = 0;
+  uint64_t barrier_parks = 0;  // futex waits at window barriers
   uint64_t digest = 0;
   uint64_t delivered = 0;
   std::vector<uint64_t> per_lane_events;
 
   double events_per_sec() const { return static_cast<double>(events) / wall_seconds; }
+  double parks_per_window() const {
+    return windows == 0 ? 0.0 : static_cast<double>(barrier_parks) / static_cast<double>(windows);
+  }
 };
 
 // 32 clients flooding one sink at ~4x its egress line rate. The excess is
@@ -222,6 +230,7 @@ FabricPerf MeasureFabric(int lanes, SimTime window) {
   for (int i = 0; i < lanes; ++i) {
     events0[static_cast<size_t>(i)] = engine.lane(i).sim().events_processed();
   }
+  const uint64_t parks0 = engine.barrier_parks();
   const uint64_t allocs0 = g_allocs.load(std::memory_order_relaxed);
   const auto wall0 = std::chrono::steady_clock::now();
 
@@ -232,6 +241,8 @@ FabricPerf MeasureFabric(int lanes, SimTime window) {
   r.lanes = lanes;
   r.wall_seconds = std::chrono::duration<double>(wall1 - wall0).count();
   r.allocs = g_allocs.load(std::memory_order_relaxed) - allocs0;
+  r.windows = static_cast<uint64_t>((window + engine.lookahead() - 1) / engine.lookahead());
+  r.barrier_parks = engine.barrier_parks() - parks0;
   r.per_lane_events.resize(static_cast<size_t>(lanes));
   uint64_t max_lane = 0;
   for (int i = 0; i < lanes; ++i) {
@@ -255,10 +266,12 @@ std::string LaneSweepJson(const std::vector<FabricPerf>& sweep) {
     const FabricPerf& r = sweep[i];
     std::snprintf(buf, sizeof(buf),
                   "%s{\"lanes\": %d, \"events\": %llu, \"events_per_sec\": %.0f, "
-                  "\"wall_seconds\": %.6f, \"allocs\": %llu, \"max_lane_share\": %.4f}",
+                  "\"wall_seconds\": %.6f, \"allocs\": %llu, \"max_lane_share\": %.4f, "
+                  "\"windows\": %llu, \"parks_per_window\": %.4f}",
                   i == 0 ? "" : ", ", r.lanes, static_cast<unsigned long long>(r.events),
                   r.events_per_sec(), r.wall_seconds,
-                  static_cast<unsigned long long>(r.allocs), r.max_lane_share);
+                  static_cast<unsigned long long>(r.allocs), r.max_lane_share,
+                  static_cast<unsigned long long>(r.windows), r.parks_per_window());
     out += buf;
   }
   out += "]";
@@ -280,9 +293,10 @@ int RunFabric(int lanes, bool check, const std::string& out_path) {
   for (int n : counts) {
     sweep.push_back(MeasureFabric(n, window));
     const FabricPerf& r = sweep.back();
-    std::printf("lanes %-2d  events %10llu  events/sec %10.0f  allocs %6llu  "
-                "max lane share %.3f  digest %016llx\n",
+    std::printf("lanes %-2d  events %10llu  events/sec %10.0f  windows %6llu  "
+                "parks/window %.3f  allocs %6llu  max lane share %.3f  digest %016llx\n",
                 r.lanes, static_cast<unsigned long long>(r.events), r.events_per_sec(),
+                static_cast<unsigned long long>(r.windows), r.parks_per_window(),
                 static_cast<unsigned long long>(r.allocs), r.max_lane_share,
                 static_cast<unsigned long long>(r.digest));
   }
@@ -326,7 +340,7 @@ int RunFabric(int lanes, bool check, const std::string& out_path) {
   JsonWriter w;
   w.Str("bench", "perf_engine_fabric")
       .Str("scenario", "udp_incast_32_clients")
-      .Int("host_cpus", static_cast<int64_t>(std::thread::hardware_concurrency()))
+      .Int("host_cpus", AvailableCpuCount())
       .Num("sim_window_ms", ToSeconds(window) * 1e3, 1)
       .Raw("lane_sweep", LaneSweepJson(sweep))
       .Num("events_per_sec_1lane", base.events_per_sec(), 0)

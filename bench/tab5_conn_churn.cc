@@ -40,12 +40,12 @@
 #include <iostream>
 #include <new>
 #include <string>
-#include <thread>
 #include <unordered_map>
 #include <vector>
 
 #include "bench/common.h"
 #include "src/core/steering.h"
+#include "src/host/affinity.h"
 #include "src/metrics/report.h"
 #include "src/metrics/table.h"
 #include "src/metrics/timeseries.h"
@@ -437,7 +437,7 @@ int RunMillion(size_t flows, bool check, const std::string& out_path) {
 
   JsonWriter million;
   million.Uint("flows", r.flows)
-      .Int("host_cpus", static_cast<int64_t>(std::thread::hardware_concurrency()))
+      .Int("host_cpus", AvailableCpuCount())
       .Num("setup_conns_per_sec", r.setup_per_sec(), 0)
       .Num("teardown_conns_per_sec", r.teardown_per_sec(), 0)
       .Num("reopen_conns_per_sec", r.reopen_per_sec(), 0)

@@ -20,9 +20,9 @@
 #include <cstdio>
 #include <cstring>
 #include <string>
-#include <thread>
 #include <vector>
 
+#include "src/host/affinity.h"
 #include "src/metrics/report.h"
 #include "src/scenario/parser.h"
 #include "src/scenario/runner.h"
@@ -159,7 +159,7 @@ int Run(int argc, char** argv) {
   w.Str("bench", "wan_sweep")
       .Str("scenario", "lossy_wan_grid_via_nsc_dsl")
       .Int("sim_window_ms", run_for / kMillisecond)
-      .Int("host_cpus", static_cast<int64_t>(std::thread::hardware_concurrency()))
+      .Int("host_cpus", AvailableCpuCount())
       .Bool("quick", quick)
       .Raw("cells", cells_json);
   if (!WriteFileChecked(out, w.Finish())) {

@@ -31,11 +31,20 @@
 // With one lane there are no threads and no barriers — just windowed
 // RunUntil + Flush on the caller's thread, which is also why --lanes 1
 // keeps the engine's single-threaded event rate.
+//
+// The window barrier spins, then parks (DESIGN.md §8.2). A window lasts
+// tens of microseconds of host time or less, so a futex sleep and wake per
+// window would cost about as much as the window; waiting lanes poll the phase
+// instead and fall back to a futex wait only after a fixed spin budget.
+// Spinning is enabled only when every lane can have its own CPU
+// (lanes <= AvailableCpuCount() at construction); otherwise a spinning
+// lane would burn the timeslice of the very lane it waits for, so waiters
+// park at once.
 
 #ifndef SRC_FABRIC_LANE_H_
 #define SRC_FABRIC_LANE_H_
 
-#include <barrier>
+#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <functional>
@@ -106,31 +115,41 @@ class LaneEngine {
   // fraction that bounds parallel speedup (speedup <= 1/share).
   double MaxLaneShare() const;
 
+  // Times a lane outwaited the spin budget and parked on the futex at a
+  // window barrier, summed over lanes and runs. About 0 per window while
+  // every lane has its own CPU; up to lanes() - 1 per window when not.
+  uint64_t barrier_parks() const { return parks_.load(std::memory_order_relaxed); }
+
  private:
   void WorkerMain(Lane* lane);
   void RunWindows(Lane* lane);
-  void OnBarrier() noexcept;  // barrier completion: flush + advance window
-
-  struct Completion {
-    LaneEngine* engine;
-    void operator()() noexcept { engine->OnBarrier(); }
-  };
+  void ArriveAndWait();
+  void OnBarrier() noexcept;  // last arriver: flush + advance window
 
   std::vector<std::unique_ptr<Lane>> lanes_;
   SimTime lookahead_ = 0;
   std::function<void()> flush_;
 
-  // Windowing state: written only by OnBarrier() (one thread, inside the
-  // barrier) and by RunUntil before releasing the workers; read by workers
-  // after arrive_and_wait(), which provides the happens-before edge.
+  // Windowing state: written only by OnBarrier() (the last arriver, with
+  // every other lane waiting) and by RunUntil before releasing the workers;
+  // read by lanes after ArriveAndWait(), whose acquire load of phase_ pairs
+  // with the release store that ends OnBarrier's barrier.
   SimTime window_ = 0;
   SimTime until_ = 0;
   bool run_done_ = true;
 
+  // Window barrier (multi-lane only). Arrivals count up in arrived_; the
+  // last arriver runs OnBarrier, resets the count and bumps phase_, which
+  // the others spin on and then futex-wait on. Separate cache lines keep the
+  // arrivals' RMW traffic off the line the waiters poll.
+  alignas(64) std::atomic<uint32_t> arrived_{0};
+  alignas(64) std::atomic<uint32_t> phase_{0};
+  uint32_t spin_budget_ = 0;  // 0 when lanes outnumber the available CPUs
+  std::atomic<uint64_t> parks_{0};
+
   // Parked-worker handshake (multi-lane only): RunUntil waits until every
   // worker is back in cv_.wait (parked_ == workers) before mutating the
   // windowing state for the next run, then bumps generation_ to release.
-  std::unique_ptr<std::barrier<Completion>> barrier_;
   std::mutex mutex_;
   std::condition_variable cv_;
   std::condition_variable parked_cv_;

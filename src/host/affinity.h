@@ -11,11 +11,14 @@
 
 namespace newtos {
 
-// Number of CPUs available to this process.
+// Number of CPUs the calling thread may run on: its affinity mask, so
+// `taskset` and cgroup cpusets count (as `nproc` does). Falls back to the
+// online CPU count if the mask cannot be read.
 int AvailableCpuCount();
 
-// Pins the calling thread to `cpu` (mod the available set). Returns false if
-// the platform call failed or pinning is unsupported.
+// Pins the calling thread to the `cpu`-th CPU (mod the count) of its
+// affinity mask. Returns false if the platform call failed or pinning is
+// unsupported.
 bool PinThisThreadToCpu(int cpu);
 
 }  // namespace newtos

@@ -7,6 +7,7 @@
 #include "src/host/pipeline.h"
 
 #include <gtest/gtest.h>
+#include <sched.h>
 
 #include "src/host/affinity.h"
 
@@ -14,6 +15,18 @@ namespace newtos {
 namespace {
 
 TEST(Affinity, CpuCountPositive) { EXPECT_GE(AvailableCpuCount(), 1); }
+
+TEST(Affinity, CpuCountFollowsTheAffinityMask) {
+  cpu_set_t saved;
+  CPU_ZERO(&saved);
+  ASSERT_EQ(sched_getaffinity(0, sizeof(saved), &saved), 0);
+  const int before = AvailableCpuCount();
+  EXPECT_EQ(before, CPU_COUNT(&saved));
+  ASSERT_TRUE(PinThisThreadToCpu(0));
+  EXPECT_EQ(AvailableCpuCount(), 1);
+  ASSERT_EQ(sched_setaffinity(0, sizeof(saved), &saved), 0);
+  EXPECT_EQ(AvailableCpuCount(), before);
+}
 
 TEST(Affinity, PinWrapsAroundAvailableCpus) {
   // Pinning to a large index wraps mod the CPU count and succeeds.

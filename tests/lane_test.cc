@@ -13,11 +13,14 @@
 #include "src/fabric/lane.h"
 
 #include <gtest/gtest.h>
+#include <sched.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "src/fabric/incast.h"
 #include "src/fabric/switch.h"
+#include "src/host/affinity.h"
 #include "src/sim/random.h"
 
 namespace newtos {
@@ -69,14 +72,41 @@ TEST(LaneEngineTest, AllLanesReachTheBarrierClock) {
 }
 
 TEST(LaneEngineTest, BarrierFlushRunsOncePerWindow) {
-  LaneEngine engine(2);
-  engine.SetLookahead(10 * kMicrosecond);
-  uint64_t flushes = 0;
-  engine.SetBarrierFlush([&] { ++flushes; });
-  engine.RunFor(1 * kMillisecond);
-  EXPECT_EQ(flushes, 100u);
-  engine.RunFor(500 * kMicrosecond);
-  EXPECT_EQ(flushes, 150u);
+  // Many short runs, most not a whole number of windows: between runs the
+  // workers re-park, and within a run they spin or futex-wait at each
+  // window edge. Every flush must see all lanes stopped at the same edge.
+  constexpr SimTime kLookahead = 10 * kMicrosecond;
+  const SimTime kRuns[] = {3 * kMicrosecond, 10 * kMicrosecond, 25 * kMicrosecond,
+                           47 * kMicrosecond, 100 * kMicrosecond};
+  for (int lanes : {2, 3, 4}) {
+    LaneEngine engine(lanes);
+    engine.SetLookahead(kLookahead);
+    std::vector<SimTime> edges;  // one entry per flush: the common lane clock
+    engine.SetBarrierFlush([&] {
+      const SimTime edge = engine.lane(0).sim().Now();
+      for (int i = 1; i < lanes; ++i) {
+        if (engine.lane(i).sim().Now() != edge) {
+          edges.push_back(-1);  // lanes disagree: fails the comparison below
+          return;
+        }
+      }
+      edges.push_back(edge);
+    });
+    std::vector<SimTime> expected;
+    for (int run = 0; run < 200; ++run) {
+      const SimTime start = engine.Now();
+      const SimTime until = start + kRuns[run % 5];
+      for (SimTime w = start; w < until;) {
+        w = std::min(w + kLookahead, until);
+        expected.push_back(w);
+      }
+      engine.RunUntil(until);
+      ASSERT_EQ(edges, expected) << lanes << " lanes, run " << run;
+      for (int i = 0; i < lanes; ++i) {
+        ASSERT_EQ(engine.lane(i).sim().Now(), until) << lanes << " lanes, lane " << i;
+      }
+    }
+  }
 }
 
 // --- UDP incast equivalence ----------------------------------------------
@@ -126,6 +156,32 @@ TEST(LaneEquivalence, UdpIncastIdenticalAcrossLaneCounts) {
     EXPECT_EQ(run.egress_drops, oracle.egress_drops) << lanes << " lanes";
     EXPECT_EQ(run.routed, oracle.routed) << lanes << " lanes";
   }
+}
+
+// With every lane confined to one CPU the engine must not spin (a spinning
+// lane would burn the timeslice of the lane it waits for): waiters park at
+// once, and the run still reproduces the oracle.
+TEST(LaneEquivalence, UdpIncastOnOneCpuParksAndMatchesOracle) {
+  const UdpRun oracle = RunUdp(1);
+  cpu_set_t saved;
+  CPU_ZERO(&saved);
+  ASSERT_EQ(sched_getaffinity(0, sizeof(saved), &saved), 0);
+  ASSERT_TRUE(PinThisThreadToCpu(0));
+  EXPECT_EQ(AvailableCpuCount(), 1);
+  UdpRun run;
+  uint64_t parks = 0;
+  {
+    UdpIncastBed bed(UdpOptions(4));
+    bed.Start();
+    bed.RunFor(30 * kMillisecond);
+    run.digest = bed.Digest();
+    run.delivered = bed.delivered();
+    parks = bed.engine().barrier_parks();
+  }
+  ASSERT_EQ(sched_setaffinity(0, sizeof(saved), &saved), 0);
+  EXPECT_EQ(run.digest, oracle.digest);
+  EXPECT_EQ(run.delivered, oracle.delivered);
+  EXPECT_GT(parks, 0u) << "one CPU: waiters must take the futex path";
 }
 
 // Golden pinned from the 1-lane oracle; see file comment in
