@@ -31,9 +31,25 @@ int Switch::AttachNic(Nic* nic, Simulation* sim, Ipv4Addr addr, SimTime propagat
   p.sim = sim;
   p.propagation = propagation >= 0 ? propagation : params_.port_propagation;
   p.egress_busy.reserve(params_.egress_queue_slots + 1);
-  // One lookahead window of staging at far beyond any port's line rate, so
-  // bursty arrivals never regrow the buffer mid-run (allocation-free Flush).
-  p.staged.reserve(64);
+  // Ports attached from one Simulation share its lane's ingress log.
+  size_t sim_ports = 1;
+  for (int q = 0; q < port; ++q) {
+    if (ports_[static_cast<size_t>(q)]->sim == sim) {
+      p.staging = ports_[static_cast<size_t>(q)]->staging;
+      ++sim_ports;
+    }
+  }
+  if (p.staging == nullptr) {
+    // A heap object per log gives each its own cache line and an address
+    // that stays put as more lanes attach.
+    // lint:allow(heap-make): one-time wiring at testbed construction, one log per source lane
+    stagings_.push_back(std::make_unique<Staging>());
+    p.staging = stagings_.back().get();
+  }
+  // One lookahead window of ingress at far beyond any port's line rate (64
+  // frames per port), so bursty arrivals never regrow a log mid-run
+  // (allocation-free Flush).
+  p.staging->frames.reserve(64 * sim_ports);
   // lint:allow(heap-make): one-time wiring at testbed construction, not per-frame
   p.tap = std::make_unique<PortTap>();
   p.tap->sw = this;
@@ -57,23 +73,44 @@ SimTime Switch::EgressSerializationTime(uint32_t frame_bytes) const {
   return static_cast<SimTime>(std::llround(seconds * static_cast<double>(kSecond)));
 }
 
+Switch::PortStats Switch::port_stats(int port) const {
+  const Port& p = *ports_[static_cast<size_t>(port)];
+  PortStats s;
+  s.in_frames = p.in_frames;
+  s.in_bytes = p.in_bytes;
+  s.out_frames = p.out_frames;
+  s.out_bytes = p.out_bytes;
+  s.egress_drops = p.egress_drops;
+  return s;
+}
+
 void Switch::Ingress(int port, PacketPtr p, SimTime now) {
   Port& in = *ports_[static_cast<size_t>(port)];
-  in.stats.in_frames++;
-  in.stats.in_bytes += p->FrameBytes();
-  in.staged.push_back(StagedFrame{now, std::move(p)});
+  Staging& log = *in.staging;
+  if (log.flushed) {
+    // Flush() has routed this log: delivered packets were moved out, and
+    // dropping the rest here frees them into this lane's own pool.
+    log.frames.clear();
+    log.flushed = false;
+  }
+  const uint32_t bytes = p->FrameBytes();
+  in.in_frames++;
+  in.in_bytes += bytes;
+  log.frames.push_back(
+      StagedFrame{now, p->ip.dst, bytes, static_cast<uint32_t>(port), std::move(p)});
 }
 
 void Switch::Flush() {
-  // Chronological merge over the per-port staging FIFOs (each is already in
-  // ingress-time order). Simultaneous arrivals on different ports are
-  // granted in rotating round-robin order starting at rr_next_ — the
-  // arbitration real input stages implement, so two synchronized equal
-  // senders split a contended egress port evenly instead of phase-locking
-  // into port-id priority. The merge consults only ingress timestamps and
-  // the rotation cursor (itself a function of the delivery sequence), so
-  // the resulting total order is independent of lane count and of the
-  // order ports were drained. The determinism hinge.
+  // Chronological merge over the ingress logs (each is in ingress-time
+  // order, and holds each of its ports' frames in FIFO order). Simultaneous
+  // arrivals on different ports are granted in rotating round-robin order
+  // starting at rr_next_ — the arbitration real input stages implement, so
+  // two synchronized equal senders split a contended egress port evenly
+  // instead of phase-locking into port-id priority. The merge consults only
+  // ingress timestamps, port ids and the rotation cursor (itself a function
+  // of the delivery sequence), so the resulting total order is independent
+  // of lane count and of which log a port's frames sit in. The determinism
+  // hinge.
   //
   // Mechanically: gather (when, port, idx) refs, sort once, then walk tie
   // groups. Poisson-spread traffic has singleton groups almost always, so
@@ -82,12 +119,19 @@ void Switch::Flush() {
   // largest cost in the whole incast run).
   const size_t n_ports = ports_.size();
   merge_scratch_.clear();
-  for (size_t pi = 0; pi < n_ports; ++pi) {
-    const auto& staged = ports_[pi]->staged;
-    for (size_t i = 0; i < staged.size(); ++i) {
-      merge_scratch_.push_back(
-          MergeRef{staged[i].when, static_cast<uint32_t>(pi), static_cast<uint32_t>(i)});
+  for (size_t g = 0; g < stagings_.size(); ++g) {
+    Staging& log = *stagings_[g];
+    if (log.flushed || log.frames.empty()) {
+      continue;  // nothing new since the last Flush
     }
+    const std::vector<StagedFrame>& frames = log.frames;
+    for (size_t i = 0; i < frames.size(); ++i) {
+      merge_scratch_.push_back(MergeRef{frames[i].when, frames[i].port,
+                                        static_cast<uint32_t>(i), static_cast<uint32_t>(g)});
+    }
+    // Left for the owning lane to clear (see Ingress): dropped frames' packets
+    // are released there, not on this thread.
+    log.flushed = true;
   }
   std::sort(merge_scratch_.begin(), merge_scratch_.end(),
             [](const MergeRef& a, const MergeRef& b) {
@@ -110,7 +154,7 @@ void Switch::Flush() {
       // Single frame, or several from the same port (FIFO, no arbitration).
       for (size_t k = i; k < j; ++k) {
         const MergeRef& r = merge_scratch_[k];
-        DeliverOne(ports_[r.port]->staged[r.idx]);
+        DeliverOne(stagings_[r.group]->frames[r.idx]);
       }
       rr_next_ = (merge_scratch_[i].port + 1) % n_ports;
     } else {
@@ -127,8 +171,9 @@ void Switch::Flush() {
       for (size_t off = 0; off < n_ports && granted < j - i; ++off) {
         const size_t pi = (rr_next_ + off) % n_ports;
         for (size_t k = i; k < j; ++k) {
-          if (merge_scratch_[k].port == pi) {
-            DeliverOne(ports_[pi]->staged[merge_scratch_[k].idx]);
+          const MergeRef& r = merge_scratch_[k];
+          if (r.port == pi) {
+            DeliverOne(stagings_[r.group]->frames[r.idx]);
             ++granted;
             if (first_winner == n_ports) {
               first_winner = pi;
@@ -140,20 +185,16 @@ void Switch::Flush() {
     }
     i = j;
   }
-  for (auto& port : ports_) {
-    port->staged.clear();
-  }
 }
 
 void Switch::DeliverOne(StagedFrame& f) {
-  const Packet& pkt = *f.packet;
-  if (pkt.ip.dst != route_cache_addr_ || route_cache_port_ < 0) {
-    const auto route = routes_.find(pkt.ip.dst);
+  if (f.dst != route_cache_addr_ || route_cache_port_ < 0) {
+    const auto route = routes_.find(f.dst);
     if (route == routes_.end()) {
       ++stats_.unrouted_drops;
       return;
     }
-    route_cache_addr_ = pkt.ip.dst;
+    route_cache_addr_ = f.dst;
     route_cache_port_ = route->second;
   }
   Port& out = *ports_[static_cast<size_t>(route_cache_port_)];
@@ -161,7 +202,7 @@ void Switch::DeliverOne(StagedFrame& f) {
   // Shared backplane: one serialization cursor for the whole fabric.
   SimTime fabric_done = f.when;
   if (params_.fabric_gbps > 0.0) {
-    const double bits = static_cast<double>(pkt.FrameBytes() + params_.frame_overhead_bytes) * 8.0;
+    const double bits = static_cast<double>(f.frame_bytes + params_.frame_overhead_bytes) * 8.0;
     const SimTime ser =
         static_cast<SimTime>(std::llround(bits / (params_.fabric_gbps * 1e9) *
                                           static_cast<double>(kSecond)));
@@ -179,11 +220,11 @@ void Switch::DeliverOne(StagedFrame& f) {
     out.egress_busy.pop_front();
   }
   if (out.egress_busy.size() >= params_.egress_queue_slots) {
-    ++out.stats.egress_drops;
+    ++out.egress_drops;
     return;
   }
-  if (pkt.FrameBytes() != ser_cache_bytes_) {
-    ser_cache_bytes_ = pkt.FrameBytes();
+  if (f.frame_bytes != ser_cache_bytes_) {
+    ser_cache_bytes_ = f.frame_bytes;
     ser_cache_time_ = EgressSerializationTime(ser_cache_bytes_);
   }
   const SimTime start = std::max(at_egress, out.egress_free_at);
@@ -192,8 +233,8 @@ void Switch::DeliverOne(StagedFrame& f) {
   out.egress_busy.push_back(done);
 
   ++stats_.routed_frames;
-  ++out.stats.out_frames;
-  out.stats.out_bytes += pkt.FrameBytes();
+  ++out.out_frames;
+  out.out_bytes += f.frame_bytes;
 
   const SimTime arrival = done + out.propagation;
   Nic* nic = out.nic;

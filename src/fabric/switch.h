@@ -4,7 +4,7 @@
 // destination IP. The model is a shared-backplane, output-queued switch:
 //
 //   NIC serialization + TX DMA        (source host's lane, in the NIC)
-//     -> ingress staging              (Ingress(); lock-free, per port)
+//     -> ingress log                  (Ingress(); lock-free, one per lane)
 //     -> shared fabric bandwidth      (one serialization cursor for the
 //                                      whole backplane; 0 = non-blocking)
 //     -> fixed switching latency
@@ -14,17 +14,30 @@
 //
 // Determinism and parallelism come from the same property: the switch never
 // runs inside a lane's event loop. Frames entering during a lookahead
-// window are staged per ingress port; Flush() — single-threaded, at window
-// barriers — merges the per-port FIFOs chronologically, breaking ingress
-// ties by rotating round-robin arbitration: a total order that does not
-// depend on how hosts are partitioned into lanes. Arrival events
-// land in each destination's own simulation at times >= window end, which
-// is exactly the conservative-lookahead contract LaneEngine (lane.h) runs
-// under. One lane or eight, the computed timeline is identical.
+// window are appended to the ingress log of their source Simulation (every
+// port attached from one sim shares it), together with the destination and
+// wire size the lane reads while the packet is still hot in its cache.
+// Flush() — single-threaded, at window barriers — reads only those few
+// logs and merges them chronologically, breaking ingress ties by rotating
+// round-robin arbitration: a total order that does not depend on how hosts
+// are partitioned into lanes. Arrival events land in each destination's own
+// simulation at times >= window end, which is exactly the
+// conservative-lookahead contract LaneEngine (lane.h) runs under. One lane
+// or eight, the computed timeline is identical.
+//
+// Frames the egress queue tail-drops are never touched on the flush
+// thread: Flush() marks each log it drained, and the owning lane's next
+// Ingress clears it, so a dropped packet returns to the pool of the lane
+// that allocated it. Only delivered frames cross lanes.
+//
+// Lifetime: the frames of the last window stay in the logs until the next
+// Ingress on their lane or ~Switch. A Switch must therefore be destroyed
+// before the PacketPools its lanes draw from (declare the LaneEngine, or
+// the pools, before the Switch).
 //
 // All time-consuming stages are cursor-based (busy-until scalars and a ring
 // of queued-completion times per port), so Flush() is allocation-free once
-// staging buffers reach their high-water mark.
+// the logs reach their high-water mark.
 
 #ifndef SRC_FABRIC_SWITCH_H_
 #define SRC_FABRIC_SWITCH_H_
@@ -95,53 +108,74 @@ class Switch {
   // t + Lookahead(). Valid once at least one port is attached.
   SimTime Lookahead() const { return params_.switching_latency + min_propagation_; }
 
-  // Drains every port's ingress staging buffer, arbitrates the backplane
+  // Drains every lane's ingress log, arbitrates the backplane
   // chronologically (round-robin across ties) and schedules arrival events
   // in the destination lanes. Must be called single-threaded while every
-  // lane is stopped —
-  // LaneEngine invokes it at each window barrier. Safe to call when idle.
+  // lane is stopped — LaneEngine invokes it at each window barrier. Safe to
+  // call when idle.
   void Flush();
 
   int num_ports() const { return static_cast<int>(ports_.size()); }
   const SwitchParams& params() const { return params_; }
   const Stats& stats() const { return stats_; }
-  const PortStats& port_stats(int port) const { return ports_[static_cast<size_t>(port)]->stats; }
+  PortStats port_stats(int port) const;
 
   // Time to put one frame of `frame_bytes` on an egress wire at port rate.
   SimTime EgressSerializationTime(uint32_t frame_bytes) const;
 
  private:
-  // A frame staged by the ingress port's lane thread, awaiting Flush().
-  // Each port's staging buffer is FIFO in ingress-time order; Flush()
-  // merges the FIFOs chronologically with round-robin tie arbitration.
+  // A frame staged by its source lane, awaiting Flush(). The lane fills in
+  // `dst` and `frame_bytes` at ingress, so Flush() routes and sizes a frame
+  // without dereferencing its packet, and never touches a dropped one.
   struct StagedFrame {
     SimTime when = 0;  // fabric-entry time (frame fully off the source NIC)
-    PacketPtr packet;
+    Ipv4Addr dst = 0;
+    uint32_t frame_bytes = 0;
+    uint32_t port = 0;  // ingress port
+    PacketPtr packet;   // moved into the arrival event if delivered
+  };
+
+  // The ingress log of one source Simulation (lane), shared by every port
+  // attached from it. Appended only by that lane's thread during a window,
+  // so it is in ingress-time order and each port's frames in FIFO order.
+  // Flush() reads it at the barrier (the barrier's synchronization is the
+  // fence) and sets `flushed`; the lane's next Ingress clears it, releasing
+  // dropped packets on the lane that allocated them. Its own cache line(s).
+  struct alignas(64) Staging {
+    std::vector<StagedFrame> frames;
+    bool flushed = false;  // drained by Flush(); clear before appending
   };
 
   // NicPort adapter handed to the attached NIC; stable address per port.
   struct PortTap;
 
   struct Port {
+    // Wiring: set by AttachNic, read-only afterwards.
     Nic* nic = nullptr;
     Simulation* sim = nullptr;
+    Staging* staging = nullptr;  // the log of `sim`
     SimTime propagation = 0;
-    // Written only by this port's lane thread during a window; drained by
-    // Flush() at the barrier. The barrier's synchronization is the fence.
-    std::vector<StagedFrame> staged;
-    // Completion times of frames occupying the egress queue (see Flush()).
-    RingDeque<SimTime> egress_busy;
-    SimTime egress_free_at = 0;
-    PortStats stats;
     std::unique_ptr<PortTap> tap;
+    // Written by this port's lane in Ingress(); kept off the line Flush()
+    // writes so the lane and the flush thread never share one.
+    alignas(64) uint64_t in_frames = 0;
+    uint64_t in_bytes = 0;
+    // Flush-side egress state. egress_busy holds completion times of frames
+    // occupying the egress queue (see DeliverOne()).
+    alignas(64) RingDeque<SimTime> egress_busy;
+    SimTime egress_free_at = 0;
+    uint64_t out_frames = 0;
+    uint64_t out_bytes = 0;
+    uint64_t egress_drops = 0;
   };
 
-  // A (when, port, index-within-port) reference into a staging buffer;
+  // A (when, port, index-within-log) reference into ingress log `group`;
   // Flush() sorts these instead of min-scanning every port per frame.
   struct MergeRef {
     SimTime when;
     uint32_t port;
     uint32_t idx;
+    uint32_t group;
   };
 
   void Ingress(int port, PacketPtr p, SimTime now);
@@ -149,6 +183,7 @@ class Switch {
 
   SwitchParams params_;
   std::vector<std::unique_ptr<Port>> ports_;
+  std::vector<std::unique_ptr<Staging>> stagings_;  // one per source sim
   std::unordered_map<Ipv4Addr, int> routes_;
   SimTime min_propagation_ = 0;
   SimTime fabric_free_at_ = 0;      // shared-backplane serialization cursor

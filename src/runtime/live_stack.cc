@@ -388,7 +388,17 @@ void WatchdogBody(ServerContext& ctx, SharedState* sh,
         }
       }
     }
-    const bool quiesce = sh->transfer_done.load(std::memory_order_acquire);
+    // A heartbeat round in flight is finished before the quiesce, and the
+    // first round always completes: a transfer that ends within it still
+    // gets every server's liveness checked once (none when
+    // heartbeat_rounds == 0).
+    bool round_in_flight = false;
+    for (size_t i = 0; i < n; ++i) {
+      round_in_flight = round_in_flight || sent[i] > round;
+    }
+    const bool heartbeat_owed = round < max_rounds && (round == 0 || round_in_flight);
+    const bool quiesce =
+        sh->transfer_done.load(std::memory_order_acquire) && !heartbeat_owed;
     if (quiesce) {
       for (size_t i = 0; i < n; ++i) {
         if (!shutdown_pushed[i]) {

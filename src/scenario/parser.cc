@@ -116,6 +116,9 @@ class Line {
     return false;
   }
 
+  // Column of the previously-consumed token (1 before any).
+  int PrevCol() const { return pos_ == 0 ? 1 : toks_[pos_ - 1].col; }
+
   // Like Fail but blames the previously-consumed token (value parse errors).
   bool FailPrev(const std::string& message, const std::string& hint) {
     if (!ok_ || pos_ == 0) {
@@ -373,8 +376,9 @@ bool FaultClassFromName(const std::string& name, FaultClass* out) {
   return false;
 }
 
-bool IsKnownCounter(const std::string& name) {
-  for (const char* c : kCounterNames) {
+template <size_t N>
+bool InNames(const char* const (&names)[N], const std::string& name) {
+  for (const char* c : names) {
     if (name == c) {
       return true;
     }
@@ -382,9 +386,10 @@ bool IsKnownCounter(const std::string& name) {
   return false;
 }
 
-std::string KnownCounterList() {
+template <size_t N>
+std::string JoinNames(const char* const (&names)[N]) {
   std::string s;
-  for (const char* c : kCounterNames) {
+  for (const char* c : names) {
     if (!s.empty()) {
       s += ", ";
     }
@@ -511,9 +516,10 @@ bool ParseExpect(Line& ln, Script* out, int line_no) {
     if (!ln.Take(&e.counter, "counter name", kExpectHint)) {
       return false;
     }
-    if (!IsKnownCounter(e.counter)) {
+    e.col = ln.PrevCol();
+    if (!InNames(kCounterNames, e.counter)) {
       return ln.FailPrev("unknown counter '" + e.counter + "'",
-                         "counters: " + KnownCounterList());
+                         "counters: " + JoinNames(kCounterNames));
     }
     std::string op;
     if (!ln.Take(&op, "comparison operator", kExpectHint)) {
@@ -816,11 +822,14 @@ bool ParseLine(Line& ln, Script* out, int line_no, bool* saw_scenario) {
 
 // Cross-directive validation after the whole file parsed.
 bool Validate(const Script& s, const std::string& file, ParseError* err) {
-  auto fail = [&](const std::string& message, const std::string& hint) {
+  // Whole-script errors have no position (line 0); one tied to a directive
+  // passes where it was.
+  auto fail = [&](const std::string& message, const std::string& hint, int line = 0,
+                  int col = 0, const std::string& token = "") {
     err->file = file;
-    err->line = 0;
-    err->col = 0;
-    err->token = "";
+    err->line = line;
+    err->col = col;
+    err->token = token;
     err->message = message;
     err->hint = hint;
     return false;
@@ -853,6 +862,13 @@ bool Validate(const Script& s, const std::string& file, ParseError* err) {
         e.deadline > s.warmup + s.run_for) {
       return fail("delivery deadline is past the end of the run",
                   "`by <dur>` must be <= warmup + run_for");
+    }
+    if (e.kind == ExpectCheck::Kind::kCounter && s.topology == Topology::kIncast &&
+        !InNames(kIncastCounterNames, e.counter)) {
+      // Checked here, not in ParseExpect: `topology` may follow the expect.
+      return fail("counter '" + e.counter + "' is not measured by `topology incast`",
+                  "incast counters: " + JoinNames(kIncastCounterNames), e.line, e.col,
+                  e.counter);
     }
   }
   for (const FaultSpec& f : s.injects) {

@@ -96,6 +96,7 @@ struct ExpectCheck {
   SimTime bound = 0;     // kRecoveredWithin: per-incident recovery bound
   SimTime deadline = 0;  // kDelivered: absolute check time; 0 = end of run
   int line = 0;          // 1-based script line of the directive
+  int col = 0;           // kCounter: 1-based column of the counter name
 };
 
 // The counters `expect counter <name> ...` may reference. The parser
@@ -111,6 +112,17 @@ inline constexpr const char* kCounterNames[] = {
     "established",
 };
 inline constexpr size_t kNumCounters = sizeof(kCounterNames) / sizeof(kCounterNames[0]);
+
+// The subset of kCounterNames the incast rig measures: its clients' TCP
+// stats, delivered bytes and established connections. The others count the
+// p2p testbed's NICs, fault injector and watchdog, which an incast script
+// has none of; the runner reports them as 0, so the parser rejects an
+// `expect counter` on them in an incast script rather than let it pass
+// vacuously.
+inline constexpr const char* kIncastCounterNames[] = {
+    "delivered",        "retransmits",  "timeouts",         "fast_retransmits", "sack_retransmits",
+    "tlp_probes",       "ooo_segments", "corrupt_accepted", "established",
+};
 
 struct Script {
   std::string name;  // from the `scenario` directive

@@ -305,6 +305,31 @@ TEST(ScenarioParse, ValidationErrors) {
             std::string::npos);
 }
 
+TEST(ScenarioParse, IncastRejectsCountersItDoesNotMeasure) {
+  // The expect precedes `topology`, so the error is only knowable once the
+  // whole script is read; it still points at the counter name.
+  const ParseError err =
+      FailAt("expect counter link_loss_drops == 0\ntopology incast clients 4");
+  EXPECT_EQ(err.file, "t.nsc");
+  EXPECT_EQ(err.line, 2);
+  EXPECT_EQ(err.col, 16);
+  EXPECT_EQ(err.token, "link_loss_drops");
+  EXPECT_NE(err.message.find("not measured by `topology incast`"), std::string::npos);
+  EXPECT_NE(err.hint.find("retransmits"), std::string::npos);
+  EXPECT_NE(err.Format().find("t.nsc:2:16: error:"), std::string::npos);
+  for (const char* name : {"chan_drops", "wire_flips", "injected", "chunks", "detections"}) {
+    EXPECT_NE(FailAt("topology incast clients 4\nexpect counter " + std::string(name) + " == 0")
+                  .message.find("not measured"),
+              std::string::npos)
+        << name;
+  }
+  // Counters the rig measures stay legal, and p2p accepts every counter.
+  for (const char* name : kIncastCounterNames) {
+    ParseOk("topology incast clients 4\nexpect counter " + std::string(name) + " >= 0");
+  }
+  ParseOk("expect counter link_loss_drops == 0");
+}
+
 TEST(ScenarioParse, WatchdogExpectsAcceptedWhenWatchdogOn) {
   const Script s = ParseOk(
       "watchdog on\nat 10ms inject crash ip\nexpect detected\nexpect recovered within 50ms");
