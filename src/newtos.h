@@ -9,15 +9,17 @@
 //   hw       — cores with DVFS, power/energy, NIC, Machine
 //   os       — multiserver servers, stack wiring, monolithic baseline,
 //              microreboot manager, SocketApi
+//   fault    — fault injection (FaultPlan/FaultInjector), heartbeat
+//              watchdog, invariant checkers
 //   core     — the paper's contribution: steering plans, TurboGovernor,
 //              SifGovernor, PollPolicy, the Testbed rig
-//   fault    — fault injection (FaultPlan/FaultInjector), heartbeat
-//              watchdog, invariant checkers, the resilience campaign
 //   workload — iperf / HTTP / UDP-flood load generators
 //   metrics  — stats, histograms, table/CSV writers
 //   trace    — allocation-free causal tracing (recorder, samplers,
 //              Chrome-trace + folded-stack exporters, StackTracer wiring)
 //   host     — real-thread affinity pipeline over SpscRing
+//   scenario — .nsc script parser and ScenarioRunner; the scenarios/tab7
+//              scripts run through it are the resilience matrix (Tab. 7)
 
 #ifndef SRC_NEWTOS_H_
 #define SRC_NEWTOS_H_
@@ -30,7 +32,6 @@
 #include "src/core/steering.h"
 #include "src/core/testbed.h"
 #include "src/core/turbo.h"
-#include "src/fault/campaign.h"
 #include "src/fault/fault_injector.h"
 #include "src/fault/fault_plan.h"
 #include "src/fault/invariants.h"
@@ -62,6 +63,8 @@
 #include "src/os/peer_host.h"
 #include "src/os/socket_api.h"
 #include "src/os/stack.h"
+#include "src/scenario/parser.h"
+#include "src/scenario/runner.h"
 #include "src/sim/logger.h"
 #include "src/sim/random.h"
 #include "src/sim/simulation.h"

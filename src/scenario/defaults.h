@@ -6,8 +6,9 @@
 // the rule bans time-constant arithmetic throughout src/scenario and this
 // file carries the one reviewed waiver (tools/lint/lint.toml).
 //
-// The values deliberately equal CampaignOptions' defaults: a tab7 script that
-// states only its fault reproduces the hand-coded campaign cell bit for bit.
+// The tab7 scripts spell out their timings and fault parameters, so a change
+// here moves the resilience matrix (tests/golden/tab7_fault_campaign.csv)
+// only through a value those scripts leave out.
 
 #ifndef SRC_SCENARIO_DEFAULTS_H_
 #define SRC_SCENARIO_DEFAULTS_H_

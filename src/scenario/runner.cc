@@ -58,18 +58,20 @@ const char* OpName(ExpectCheck::Op op) {
   return "?";
 }
 
-// Fault-plan seed for a script run. A script with at least one inject seeds
-// exactly like the campaign cell for its first fault, which is what makes a
-// tab7 script's RNG streams identical to the hand-coded campaign's; a
-// fault-free script just folds the frequency into its own seed.
+// Fault-plan seed for a run: the script seed folded with the first inject's
+// class and target (FNV-1a over the target bytes) and the run's frequency, so
+// every cell of a campaign draws its own RNG streams. A fault-free script
+// just folds the frequency into its own seed.
 uint64_t ScriptPlanSeed(const Script& script, FreqKhz freq) {
   if (script.injects.empty()) {
     return script.seed ^ static_cast<uint64_t>(freq);
   }
-  CampaignFault first;
-  first.cls = script.injects.front().cls;
-  first.target = script.injects.front().target;
-  return CampaignCellSeed(script.seed, first, freq);
+  const FaultSpec& first = script.injects.front();
+  uint64_t h = script.seed ^ (static_cast<uint64_t>(first.cls) + 1) * 0x9e3779b97f4a7c15ULL;
+  for (char c : first.target) {
+    h = (h ^ static_cast<uint8_t>(c)) * 1099511628211ULL;
+  }
+  return h ^ static_cast<uint64_t>(freq);
 }
 
 Cycles RestartCyclesFor(const StackConfig& config, const std::string& server_name) {
@@ -113,6 +115,100 @@ struct TcpAggregate {
 
 std::string FormatDur(SimTime t) { return FormatTime(t); }
 
+// What a run observed beyond its cell and counters, as its expects read it.
+// Only the p2p rig has a recovery plane and samples delivery at `by`
+// deadlines; the incast rig leaves `incidents` and `deadline_delivered` null,
+// so its `expect delivered ... by` is judged at the end of the run.
+struct Observed {
+  uint64_t corrupt_accepted = 0;
+  uint64_t delivered_at_mark = 0;
+  bool stalled = false;
+  uint64_t detections = 0;
+  const std::vector<MicrorebootManager::Incident>* incidents = nullptr;
+  const std::vector<uint64_t>* deadline_delivered = nullptr;  // per expect index
+};
+
+// Evaluates every expect of `script` against `out`'s cell and counters, then
+// sets out->pass: every expect holds, or the cell verdict if there are none.
+void JudgeExpects(const Script& script, const Observed& seen, ScenarioOutcome* out) {
+  const CampaignCell& cell = out->cell;
+  for (size_t i = 0; i < script.expects.size(); ++i) {
+    const ExpectCheck& e = script.expects[i];
+    ExpectResult r;
+    r.line = e.line;
+    std::ostringstream what;
+    const bool p2p_only = e.kind == ExpectCheck::Kind::kInjected ||
+                          e.kind == ExpectCheck::Kind::kDetected ||
+                          e.kind == ExpectCheck::Kind::kRecoveredWithin;
+    if (p2p_only && seen.incidents == nullptr) {
+      // Parser validation keeps fault/watchdog expects out of incast
+      // scripts; anything else reaching here is a programming error.
+      r.pass = false;
+      what << "expectation unsupported for incast topology";
+    } else {
+      switch (e.kind) {
+        case ExpectCheck::Kind::kInjected:
+          r.pass = cell.injected > 0;
+          what << "injected (count " << cell.injected << ")";
+          break;
+        case ExpectCheck::Kind::kDetected:
+          r.pass = cell.detected;
+          what << "detected (detections " << seen.detections << ")";
+          break;
+        case ExpectCheck::Kind::kRecoveredWithin: {
+          const RecoveryCheck bounded = CheckBoundedRecovery(*seen.incidents, e.bound);
+          r.pass = !seen.incidents->empty() && bounded.all_recovered && bounded.all_within_bound;
+          what << "recovered within " << FormatDur(e.bound) << " (incidents "
+               << seen.incidents->size() << ", worst " << FormatDur(bounded.worst_recover)
+               << ")";
+          break;
+        }
+        case ExpectCheck::Kind::kIntegrity:
+          r.pass = cell.integrity;
+          what << "integrity (corrupt_accepted " << seen.corrupt_accepted << ", delivered "
+               << cell.delivered << ")";
+          break;
+        case ExpectCheck::Kind::kProgress:
+          r.pass = cell.progress;
+          what << "progress (delivered " << cell.delivered << " vs mark "
+               << seen.delivered_at_mark << (seen.stalled ? ", STALLED" : "") << ")";
+          break;
+        case ExpectCheck::Kind::kDelivered: {
+          const bool by_deadline = e.deadline > 0 && seen.deadline_delivered != nullptr;
+          const uint64_t got = by_deadline ? (*seen.deadline_delivered)[i] : cell.delivered;
+          r.pass = got >= e.value;
+          what << "delivered >= " << e.value;
+          if (by_deadline) {
+            what << " by " << FormatDur(e.deadline);
+          }
+          what << " (got " << got << ")";
+          break;
+        }
+        case ExpectCheck::Kind::kDigest:
+          r.pass = cell.digest == e.value;
+          what << "digest 0x" << std::hex << e.value << " (got 0x" << cell.digest << ")";
+          break;
+        case ExpectCheck::Kind::kCounter: {
+          const uint64_t got = out->Counter(e.counter);
+          r.pass = CompareU64(e.op, got, e.value, e.high);
+          what << "counter " << e.counter << " " << OpName(e.op) << " " << e.value;
+          if (e.op == ExpectCheck::Op::kIn) {
+            what << ".." << e.high;
+          }
+          what << " (got " << got << ")";
+          break;
+        }
+      }
+    }
+    r.what = what.str();
+    out->expects.push_back(std::move(r));
+  }
+  out->pass = script.expects.empty() ? cell.pass : true;
+  for (const ExpectResult& r : out->expects) {
+    out->pass = out->pass && r.pass;
+  }
+}
+
 }  // namespace
 
 uint64_t ScenarioOutcome::Counter(const std::string& counter_name) const {
@@ -148,17 +244,26 @@ std::vector<ScenarioOutcome> ScenarioRunner::RunAll(const std::vector<Script>& s
   return out;
 }
 
-std::vector<CampaignCell> ScenarioRunner::RunCampaignOrder(const std::vector<Script>& scripts) {
-  std::vector<CampaignCell> cells;
+bool ScenarioRunner::RunCampaignOrder(const std::vector<Script>& scripts,
+                                      std::vector<CampaignCell>* cells, std::string* error) {
+  cells->clear();
   if (scripts.empty()) {
-    return cells;
+    return true;
   }
-  for (FreqKhz freq : scripts.front().freqs) {
-    for (const Script& s : scripts) {
-      cells.push_back(RunOne(s, freq).cell);
+  const Script& first = scripts.front();
+  for (const Script& s : scripts) {
+    if (s.freqs != first.freqs) {
+      *error = s.path + ": freq sweep differs from " + first.path +
+               "'s; a campaign runs every script at the same frequencies";
+      return false;
     }
   }
-  return cells;
+  for (FreqKhz freq : first.freqs) {
+    for (const Script& s : scripts) {
+      cells->push_back(RunOne(s, freq).cell);
+    }
+  }
+  return true;
 }
 
 ScenarioOutcome ScenarioRunner::RunP2p(const Script& script, FreqKhz freq) {
@@ -172,7 +277,7 @@ ScenarioOutcome ScenarioRunner::RunP2p(const Script& script, FreqKhz freq) {
   }
   cell.stack_freq = freq;
 
-  // --- Rig construction, in CampaignRunner::RunCell's exact order ---------
+  // --- Rig construction --------------------------------------------------
 
   TestbedOptions opts;
   if (script.link.rtt >= 0) {
@@ -202,6 +307,9 @@ ScenarioOutcome ScenarioRunner::RunP2p(const Script& script, FreqKhz freq) {
   MultiserverStack* stack = tb.stack();
   DedicatedSlowPlan(*stack, freq, script.app_freq).Apply(tb.machine());
 
+  // Checkpointed TCP: a rebooted TCP server keeps its connections and lets
+  // retransmission repair the gap, so a tab7 cell measures recovery rather
+  // than connection re-establishment.
   if (script.checkpoint) {
     for (int i = 0; i < stack->tcp_shard_count(); ++i) {
       stack->tcp_shard(i)->set_checkpointing(true);
@@ -243,8 +351,8 @@ ScenarioOutcome ScenarioRunner::RunP2p(const Script& script, FreqKhz freq) {
   FaultInjector injector(&sim, std::move(plan));
   injector.Arm(stack);
   if (any_wire) {
-    injector.ArmWire(tb.machine().nic());
-    injector.ArmWire(tb.peer().nic());
+    injector.ArmWire(tb.machine().nic());  // corrupts ACKs arriving at the SUT
+    injector.ArmWire(tb.peer().nic());     // corrupts data arriving at the peer
   }
 
   // Reorder window: a Bernoulli coin per frame adds a fixed extra wire delay,
@@ -278,6 +386,8 @@ ScenarioOutcome ScenarioRunner::RunP2p(const Script& script, FreqKhz freq) {
     tracer->Enable();
   }
 
+  // A recovery legitimately leaves the delivery counter flat for detection +
+  // reboot + one RTO, so the stall bound sits above the recovery bound.
   const SimTime detection = watchdog.has_value() ? watchdog->DetectionDeadline() : 0;
   ProgressMonitor progress(
       &sim, [&integrity] { return integrity.delivered(); }, scenario_defaults::kProgressInterval,
@@ -322,7 +432,7 @@ ScenarioOutcome ScenarioRunner::RunP2p(const Script& script, FreqKhz freq) {
     options_.on_window_end();
   }
 
-  // --- Judge, exactly as the campaign judges a cell -----------------------
+  // --- Judge the cell -----------------------------------------------------
 
   cell.injected = injector.counters().Total();
   cell.delivered = integrity.delivered();
@@ -401,71 +511,14 @@ ScenarioOutcome ScenarioRunner::RunP2p(const Script& script, FreqKhz freq) {
 
   // --- Expects -------------------------------------------------------------
 
-  for (size_t i = 0; i < script.expects.size(); ++i) {
-    const ExpectCheck& e = script.expects[i];
-    ExpectResult r;
-    r.line = e.line;
-    std::ostringstream what;
-    switch (e.kind) {
-      case ExpectCheck::Kind::kInjected:
-        r.pass = cell.injected > 0;
-        what << "injected (count " << cell.injected << ")";
-        break;
-      case ExpectCheck::Kind::kDetected:
-        r.pass = cell.detected;
-        what << "detected (detections "
-             << (watchdog.has_value() ? watchdog->detections().size() : 0) << ")";
-        break;
-      case ExpectCheck::Kind::kRecoveredWithin: {
-        const RecoveryCheck bounded = CheckBoundedRecovery(incidents, e.bound);
-        r.pass = !incidents.empty() && bounded.all_recovered && bounded.all_within_bound;
-        what << "recovered within " << FormatDur(e.bound) << " (incidents " << incidents.size()
-             << ", worst " << FormatDur(bounded.worst_recover) << ")";
-        break;
-      }
-      case ExpectCheck::Kind::kIntegrity:
-        r.pass = cell.integrity;
-        what << "integrity (corrupt_accepted " << tcp.corrupt_accepted << ", delivered "
-             << cell.delivered << ")";
-        break;
-      case ExpectCheck::Kind::kProgress:
-        r.pass = cell.progress;
-        what << "progress (delivered " << cell.delivered << " vs mark " << delivered_at_mark
-             << (progress.stalled() ? ", STALLED" : "") << ")";
-        break;
-      case ExpectCheck::Kind::kDelivered: {
-        const uint64_t got = e.deadline > 0 ? deadline_delivered[i] : cell.delivered;
-        r.pass = got >= e.value;
-        what << "delivered >= " << e.value;
-        if (e.deadline > 0) {
-          what << " by " << FormatDur(e.deadline);
-        }
-        what << " (got " << got << ")";
-        break;
-      }
-      case ExpectCheck::Kind::kDigest: {
-        r.pass = cell.digest == e.value;
-        what << "digest 0x" << std::hex << e.value << " (got 0x" << cell.digest << ")";
-        break;
-      }
-      case ExpectCheck::Kind::kCounter: {
-        const uint64_t got = out.Counter(e.counter);
-        r.pass = CompareU64(e.op, got, e.value, e.high);
-        what << "counter " << e.counter << " " << OpName(e.op) << " " << e.value;
-        if (e.op == ExpectCheck::Op::kIn) {
-          what << ".." << e.high;
-        }
-        what << " (got " << got << ")";
-        break;
-      }
-    }
-    r.what = what.str();
-    out.expects.push_back(std::move(r));
-  }
-  out.pass = script.expects.empty() ? cell.pass : true;
-  for (const ExpectResult& r : out.expects) {
-    out.pass = out.pass && r.pass;
-  }
+  Observed seen;
+  seen.corrupt_accepted = tcp.corrupt_accepted;
+  seen.delivered_at_mark = delivered_at_mark;
+  seen.stalled = progress.stalled();
+  seen.detections = watchdog.has_value() ? watchdog->detections().size() : 0;
+  seen.incidents = &incidents;
+  seen.deadline_delivered = &deadline_delivered;
+  JudgeExpects(script, seen, &out);
 
   if (tracer.has_value() && options_.on_trace) {
     tracer->Disable();
@@ -550,49 +603,37 @@ ScenarioOutcome ScenarioRunner::RunIncast(const Script& script, FreqKhz freq) {
   };
   assert(out.counters.size() == kNumCounters);
 
-  for (const ExpectCheck& e : script.expects) {
-    ExpectResult r;
-    r.line = e.line;
-    std::ostringstream what;
-    switch (e.kind) {
-      case ExpectCheck::Kind::kIntegrity:
-        r.pass = cell.integrity;
-        what << "integrity (corrupt_accepted " << stats.corrupt_segments_accepted << ")";
-        break;
-      case ExpectCheck::Kind::kProgress:
-        r.pass = cell.progress;
-        what << "progress (delivered " << cell.delivered << ")";
-        break;
-      case ExpectCheck::Kind::kDelivered:
-        r.pass = cell.delivered >= e.value;
-        what << "delivered >= " << e.value << " (got " << cell.delivered << ")";
-        break;
-      case ExpectCheck::Kind::kDigest:
-        r.pass = cell.digest == e.value;
-        what << "digest 0x" << std::hex << e.value << " (got 0x" << cell.digest << ")";
-        break;
-      case ExpectCheck::Kind::kCounter: {
-        const uint64_t got = out.Counter(e.counter);
-        r.pass = CompareU64(e.op, got, e.value, e.high);
-        what << "counter " << e.counter << " " << OpName(e.op) << " " << e.value << " (got "
-             << got << ")";
-        break;
-      }
-      default:
-        // Parser validation keeps fault/watchdog expects out of incast
-        // scripts; anything else reaching here is a programming error.
-        r.pass = false;
-        what << "expectation unsupported for incast topology";
-        break;
-    }
-    r.what = what.str();
-    out.expects.push_back(std::move(r));
-  }
-  out.pass = script.expects.empty() ? cell.pass : true;
-  for (const ExpectResult& r : out.expects) {
-    out.pass = out.pass && r.pass;
-  }
+  Observed seen;
+  seen.corrupt_accepted = stats.corrupt_segments_accepted;
+  seen.delivered_at_mark = delivered_at_mark;
+  JudgeExpects(script, seen, &out);
   return out;
+}
+
+Table CampaignTable(const std::vector<CampaignCell>& cells) {
+  Table t({"fault", "target", "stack_ghz", "injected", "detected", "recovered", "detect_ms",
+           "recover_ms", "delivered_mb", "digest", "integrity", "progress", "verdict"});
+  for (const CampaignCell& c : cells) {
+    const bool server_fault = IsServerFault(c.cls);
+    std::ostringstream digest;
+    digest << std::hex << c.digest;
+    t.AddRow({
+        FaultClassName(c.cls),
+        c.target.empty() ? "*" : c.target,
+        Table::Num(static_cast<double>(c.stack_freq) / 1e6, 1),
+        Table::Int(static_cast<int64_t>(c.injected)),
+        server_fault ? (c.detected ? "yes" : "NO") : "-",
+        server_fault ? (c.recovered ? "yes" : "NO") : "-",
+        c.detect_ms >= 0 ? Table::Num(c.detect_ms, 2) : "-",
+        c.recover_ms >= 0 ? Table::Num(c.recover_ms, 2) : "-",
+        Table::Num(static_cast<double>(c.delivered) / 1e6, 2),
+        digest.str(),
+        c.integrity ? "ok" : "VIOLATED",
+        c.progress ? "ok" : "STALLED",
+        c.pass ? "PASS" : "FAIL",
+    });
+  }
+  return t;
 }
 
 Table ScenarioMatrix(const std::vector<ScenarioOutcome>& outcomes) {

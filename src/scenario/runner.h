@@ -1,14 +1,15 @@
 // ScenarioRunner: arms a compiled Script against a testbed and judges it.
 //
-// The p2p path mirrors CampaignRunner::RunCell's construction order exactly —
-// same testbed, same steering, same watchdog wiring, same fault-plan seeding
-// (CampaignCellSeed over the first inject) — so a script that states only
-// what a campaign cell hard-codes reproduces that cell's event schedule bit
-// for bit. tests/scenario_campaign_test.cc holds the tab7 scripts to that:
-// the script-driven resilience CSV must be byte-identical to the hand-coded
-// campaign's. Everything a script can add beyond a campaign cell (link
-// shaping, DVFS steps, tracing, extra expects) is armed only when the script
-// asks for it, so unused features contribute zero simulation events.
+// The scenarios/tab7 scripts are the one definition of the Tab. 7 resilience
+// matrix: RunCampaignOrder runs them frequency-outer, script-inner, and
+// CampaignTable renders the cells as the CSV that bench/tab7_fault_campaign
+// writes and tests/golden/tab7_fault_campaign.csv pins byte for byte. The p2p
+// rig is the campaign cell: a fresh testbed steered to the run's frequency,
+// checkpointed TCP, the watchdog over every stage, one fault plan seeded by
+// (seed, first inject, frequency), a bulk-TCP sender and the invariant
+// checkers. Everything a script can add beyond that (link shaping, DVFS
+// steps, tracing, extra expects) is armed only when the script asks for it,
+// so unused features contribute zero simulation events.
 //
 // Steady-state allocation: every piece of per-event machinery the runner arms
 // (fault taps, the link shaper, integrity/progress hooks, trace recording) is
@@ -24,12 +25,38 @@
 #include <utility>
 #include <vector>
 
-#include "src/fault/campaign.h"
 #include "src/metrics/table.h"
 #include "src/scenario/script.h"
 #include "src/trace/recorder.h"
 
 namespace newtos::scenario {
+
+// One cell of the resilience matrix: a run judged by the campaign verdict.
+//   injected    the fault actually fired (trials are probabilistic)
+//   detected    the watchdog escalated the silent server (server faults)
+//   recovered   the microreboot completed, within the recovery bound
+//   integrity   no corrupt segment was accepted; bytes kept arriving
+//   progress    the delivery counter never went flat past the stall bound
+// A cell passes when everything applicable holds.
+struct CampaignCell {
+  FaultClass cls = FaultClass::kChanDrop;
+  std::string target;
+  FreqKhz stack_freq = 0;
+
+  uint64_t injected = 0;       // discrete injections (triggers + trials hit)
+  bool detected = false;       // server faults only
+  bool recovered = false;
+  double detect_ms = -1.0;     // silence begin -> watchdog escalation
+  double recover_ms = -1.0;    // escalation -> reboot complete
+  uint64_t delivered = 0;      // bytes the peer application accepted
+  uint64_t digest = 0;         // stream-integrity running checksum
+  bool integrity = false;
+  bool progress = false;
+  bool pass = false;
+};
+
+// The resilience matrix (Tab. 7) as a table: one row per cell, in order.
+Table CampaignTable(const std::vector<CampaignCell>& cells);
 
 // One evaluated `expect` line.
 struct ExpectResult {
@@ -43,7 +70,7 @@ struct ScenarioOutcome {
   std::string name;
   FreqKhz freq = 0;
 
-  // Judged exactly as a campaign cell (shared verdict/formatting logic).
+  // The campaign verdict for this run.
   CampaignCell cell;
 
   // (name, value) for every kCounterNames entry, in that order.
@@ -90,11 +117,12 @@ class ScenarioRunner {
   // Runs every script at each of its frequencies — the pass/fail matrix.
   std::vector<ScenarioOutcome> RunAll(const std::vector<Script>& scripts);
 
-  // Campaign iteration order — frequency OUTER, script INNER, using the
-  // FIRST script's frequency list (the tab7 scripts all declare the same
-  // sweep) — matching CampaignRunner::Run so CampaignTable(cells) is
-  // comparable byte for byte.
-  std::vector<CampaignCell> RunCampaignOrder(const std::vector<Script>& scripts);
+  // The resilience matrix: frequency OUTER, script INNER. Every script must
+  // declare the same `freq` sweep; otherwise nothing runs, `*error` names
+  // the first script whose sweep differs from the first script's, and the
+  // call returns false.
+  bool RunCampaignOrder(const std::vector<Script>& scripts, std::vector<CampaignCell>* cells,
+                        std::string* error);
 
  private:
   ScenarioOutcome RunP2p(const Script& script, FreqKhz freq);

@@ -684,7 +684,7 @@ class Linter {
   // constant in scenario-lowering code. The .nsc compiler turns script text
   // into engine plans, and every magic duration it bakes in (`30 *
   // kMillisecond`) is a number an auditor cannot trace back to a script
-  // knob or a campaign default. Scenario code names its constants in
+  // knob or a named default. Scenario code names its constants in
   // src/scenario/defaults.h; arithmetic *on* units (division to format, a
   // variable scaled by a unit) stays legal.
   void CheckScenarioLiterals() {

@@ -45,7 +45,7 @@
 //                    constant (`30 * kMillisecond`) in scenario-lowering
 //                    code — every duration the .nsc compiler bakes in must
 //                    be a named constant in src/scenario/defaults.h, so the
-//                    script surface and the campaign oracle stay auditable
+//                    script surface and its defaults stay auditable
 //   blocking-push    a busy-wait loop on a ring push (`while (!q.Push(x))`
 //                    and the TryPush/TryEmplace variants) — a producer that
 //                    spins until its consumer drains turns backpressure into

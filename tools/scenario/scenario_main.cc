@@ -3,9 +3,6 @@
 //   newtos_scenario scenarios/wan/loss_1pct.nsc        one script, all freqs
 //   newtos_scenario --dir scenarios/wan --check        sweep a directory,
 //                                                      exit 1 on any FAIL
-//   newtos_scenario --dir scenarios/tab7 --campaign-csv out.csv
-//       run the scripts in campaign order (freq outer, script inner) and
-//       write the CampaignTable CSV — byte-comparable to tab7's output
 //   newtos_scenario --decomp out/wan_ x.nsc            force tracing and
 //       write per-stage latency decomposition + CDF CSVs per run
 //   newtos_scenario --alloc-gate x.nsc                 fail unless the
@@ -27,7 +24,6 @@
 #include <string>
 #include <vector>
 
-#include "src/fault/campaign.h"
 #include "src/scenario/parser.h"
 #include "src/scenario/runner.h"
 #include "src/trace/latency_decomp.h"
@@ -80,7 +76,6 @@ struct Args {
   std::vector<std::string> files;
   std::string dir;
   std::string csv;
-  std::string campaign_csv;
   std::string decomp_prefix;
   int lanes = 0;
   bool check = false;
@@ -91,7 +86,7 @@ struct Args {
 int Usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s [SCRIPT.nsc ...] [--dir PATH] [--check] [--list] [--lanes N]\n"
-               "          [--csv PATH] [--campaign-csv PATH] [--decomp PREFIX] [--alloc-gate]\n",
+               "          [--csv PATH] [--decomp PREFIX] [--alloc-gate]\n",
                argv0);
   return 2;
 }
@@ -110,8 +105,6 @@ int Run(int argc, char** argv) {
       args.dir = argv[++i];
     } else if (std::strcmp(a, "--csv") == 0 && i + 1 < argc) {
       args.csv = argv[++i];
-    } else if (std::strcmp(a, "--campaign-csv") == 0 && i + 1 < argc) {
-      args.campaign_csv = argv[++i];
     } else if (std::strcmp(a, "--decomp") == 0 && i + 1 < argc) {
       args.decomp_prefix = argv[++i];
     } else if (std::strcmp(a, "--lanes") == 0 && i + 1 < argc) {
@@ -160,27 +153,6 @@ int Run(int argc, char** argv) {
       std::printf("%-28s %-8s freqs[GHz]: %-12s injects: %zu expects: %zu  (%s)\n",
                   s.name.c_str(), s.topology == Topology::kIncast ? "incast" : "p2p",
                   freqs.c_str(), s.injects.size(), s.expects.size(), s.path.c_str());
-    }
-    return 0;
-  }
-
-  if (!args.campaign_csv.empty()) {
-    ScenarioRunner runner;
-    const std::vector<CampaignCell> cells = runner.RunCampaignOrder(scripts);
-    const Table t = CampaignTable(cells);
-    if (!t.WriteCsvFile(args.campaign_csv)) {
-      std::fprintf(stderr, "cannot write %s\n", args.campaign_csv.c_str());
-      return 1;
-    }
-    t.Print(std::cout, "scripted fault campaign");
-    std::printf("wrote %s\n", args.campaign_csv.c_str());
-    int failed = 0;
-    for (const CampaignCell& c : cells) {
-      failed += c.pass ? 0 : 1;
-    }
-    if (args.check && failed > 0) {
-      std::fprintf(stderr, "FAIL: %d campaign cell(s) failed\n", failed);
-      return 1;
     }
     return 0;
   }
