@@ -16,13 +16,57 @@ enum RuleBit : uint32_t {
   kDeliverReorder = 1u << 3,
   kPopBeforePush = 1u << 4,
   kHandleReuse = 1u << 5,
+  kUnwired = 1u << 6,
 };
 
 // Cap on stored trace violations per AnalyzeTrace call; a trace with a
 // systematic fault would otherwise flood the report with one entry per event.
 constexpr size_t kTraceViolationBudget = 64;
 
+void AddUnique(std::vector<std::string>* v, const std::string& s) {
+  const auto it = std::lower_bound(v->begin(), v->end(), s);
+  if (it == v->end() || *it != s) {
+    v->insert(it, s);
+  }
+}
+
+std::string Join(const std::vector<std::string>& v) {
+  std::string out;
+  for (const std::string& s : v) {
+    if (!out.empty()) {
+      out += ',';
+    }
+    out += s;
+  }
+  return out;
+}
+
 }  // namespace
+
+void AddWiredEdge(std::vector<WiredRing>* rings, const std::string& name,
+                  const std::string& producer, const std::string& consumer) {
+  auto it = std::lower_bound(rings->begin(), rings->end(), name,
+                             [](const WiredRing& r, const std::string& n) { return r.name < n; });
+  if (it == rings->end() || it->name != name) {
+    it = rings->insert(it, WiredRing{});
+    it->name = name;
+  }
+  if (!consumer.empty()) {
+    AddUnique(&it->consumers, consumer);
+  }
+  if (!producer.empty()) {
+    AddUnique(&it->producers, producer);
+  }
+}
+
+std::string RenderWiring(const std::vector<WiredRing>& rings) {
+  std::string out;
+  for (const WiredRing& r : rings) {
+    out += "ring " + r.name + " consumer=" + Join(r.consumers) + " producers=" +
+           Join(r.producers) + "\n";
+  }
+  return out;
+}
 
 uint32_t ChannelChecker::RegisterActor(std::string name) {
   actor_names_.push_back(std::move(name));
@@ -41,6 +85,10 @@ void ChannelChecker::DeclareSharedProducers(const void* ring, std::string reason
   RingState& rs = StateFor(ring);
   rs.shared = true;
   rs.shared_reason = std::move(reason);
+}
+
+void ChannelChecker::DeclareUnwired(const void* ring, std::string detail) {
+  AddViolation(StateFor(ring), kUnwired, "unwired-ring", std::move(detail));
 }
 
 void ChannelChecker::BindConsumer(const void* ring, uint32_t actor) {
@@ -367,68 +415,21 @@ void ChannelChecker::Report(std::ostream& os) const {
   }
 }
 
-void ChannelChecker::WriteWiring(std::ostream& os) const {
-  // Merged by NAME across registrations: the equivalence gate runs several
-  // stack configurations through one checker, each re-creating its channels
-  // at fresh addresses, and the union over runs is what the static graph
-  // models. Walks ring_order_, not the address map, for a stable order.
-  struct Entry {
-    std::string name;
-    std::vector<std::string> consumers;
-    std::vector<std::string> producers;
-  };
-  std::vector<Entry> entries;
-  auto entry_for = [&entries](const std::string& name) -> Entry& {
-    for (Entry& e : entries) {
-      if (e.name == name) {
-        return e;
-      }
-    }
-    entries.push_back(Entry{name, {}, {}});
-    return entries.back();
-  };
-  auto add_unique = [](std::vector<std::string>& v, const std::string& s) {
-    for (const std::string& have : v) {
-      if (have == s) {
-        return;
-      }
-    }
-    v.push_back(s);
-  };
+std::vector<WiredRing> ChannelChecker::Wiring() const {
+  std::vector<WiredRing> rings;
   for (const void* ring : ring_order_) {
     const auto it = rings_.find(ring);
-    if (it == rings_.end()) {
+    if (it == rings_.end() || it->second.name == "<unregistered>") {
       continue;
     }
     const RingState& rs = it->second;
-    if (rs.name == "<unregistered>") {
-      continue;
-    }
-    Entry& e = entry_for(rs.name);
-    if (rs.consumer != 0) {
-      add_unique(e.consumers, ActorName(rs.consumer));
-    }
+    const std::string consumer = rs.consumer != 0 ? ActorName(rs.consumer) : std::string();
+    AddWiredEdge(&rings, rs.name, std::string(), consumer);
     for (const uint32_t p : rs.all_producers) {
-      add_unique(e.producers, ActorName(p));
+      AddWiredEdge(&rings, rs.name, ActorName(p), consumer);
     }
   }
-  std::sort(entries.begin(), entries.end(),
-            [](const Entry& a, const Entry& b) { return a.name < b.name; });
-  auto join = [](std::vector<std::string>& v) {
-    std::sort(v.begin(), v.end());
-    std::string out;
-    for (const std::string& s : v) {
-      if (!out.empty()) {
-        out += ',';
-      }
-      out += s;
-    }
-    return out;
-  };
-  for (Entry& e : entries) {
-    os << "ring " << e.name << " consumer=" << join(e.consumers)
-       << " producers=" << join(e.producers) << "\n";
-  }
+  return rings;
 }
 
 }  // namespace newtos

@@ -52,6 +52,25 @@
 
 namespace newtos {
 
+// One ring of a wiring: a rendered table (src/check/stack_check.h) or what a
+// run observed (ChannelChecker::Wiring).
+struct WiredRing {
+  std::string name;
+  std::vector<std::string> consumers;     // sorted, unique
+  std::vector<std::string> producers;     // sorted, unique; empty = fed from outside
+  const char* shared_reason = nullptr;    // several producers by design
+  const char* blocking_reason = nullptr;  // its producers spin while it is full
+};
+
+// Adds one producer -> ring edge, keeping `rings` sorted by name and merging
+// by name. An empty producer or consumer adds the ring without that side.
+void AddWiredEdge(std::vector<WiredRing>* rings, const std::string& name,
+                  const std::string& producer, const std::string& consumer);
+
+// Canonical wiring text, one line per ring:
+//   ring <name> consumer=<c> producers=<p1,p2>
+std::string RenderWiring(const std::vector<WiredRing>& rings);
+
 class ChannelChecker {
  public:
   struct Violation {
@@ -78,9 +97,13 @@ class ChannelChecker {
   // shows up in Report() — shared rings are deviations, not defaults.
   void DeclareSharedProducers(const void* ring, std::string reason);
 
+  // Records a ring the code builds but its stack's wiring table has no row
+  // for (StackChecker::Attach calls this), as an "unwired-ring" violation.
+  void DeclareUnwired(const void* ring, std::string detail);
+
   // Binds the consumer identity at wiring time (Server::EnableCheck calls
   // this for every owned input). Popping already binds lazily; the explicit
-  // bind makes never-popped rings carry their consumer in WriteWiring(), and
+  // bind makes never-popped rings carry their consumer in Wiring(), and
   // a second bind is the same second-consumer violation a foreign Pop is.
   void BindConsumer(const void* ring, uint32_t actor);
 
@@ -166,16 +189,12 @@ class ChannelChecker {
   uint64_t suppressed() const { return suppressed_; }
   void Report(std::ostream& os) const;
 
-  // Canonical observed-wiring text, one line per ring name:
-  //   ring <name> consumer=<actor> producers=<a1,a2>
-  // sorted by ring name, producers sorted and deduplicated. Rings are merged
-  // by NAME, not address: the wiring-equivalence gate runs several stack
-  // configurations through one checker, and each run re-creates channels at
-  // fresh addresses under the same names. Producers come from the full
-  // observed set (every non-anonymous pushing actor, shared rings included),
-  // so the output is exactly comparable with the statically extracted graph
-  // (tools/analyze WriteDesWiring).
-  void WriteWiring(std::ostream& os) const;
+  // The observed wiring: every registered ring with its bound consumer and
+  // every non-anonymous actor that pushed into it (shared rings included),
+  // merged by ring name as a rendered table is — every TCP shard owns a
+  // "tcp/rx". RenderWiring of this equals RenderWiring of a table exactly
+  // when the run took the table's edges and no others.
+  std::vector<WiredRing> Wiring() const;
 
  private:
   struct RingState {
@@ -185,8 +204,8 @@ class ChannelChecker {
     uint32_t producer = 0;  // actor ids; 0 = not yet bound
     uint32_t consumer = 0;
     // Every non-anonymous actor ever seen pushing, shared rings included —
-    // the identity check above stops at `producer`, but WriteWiring() needs
-    // the full producer set to compare against the static graph.
+    // the identity check above stops at `producer`, but Wiring() needs
+    // the full producer set to compare against the wiring tables.
     std::vector<uint32_t> all_producers;
     uint64_t last_push_seq = 0;
     uint64_t last_deliver_seq = 0;

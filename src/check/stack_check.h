@@ -1,18 +1,31 @@
-// StackChecker: wires a ChannelChecker onto a full multiserver stack.
+// Ring-table checks and StackChecker.
 //
-// One call attaches every system server and app: each gets an actor
-// identity, each owned input ring registers with the checker, and the rings
-// that are multi-producer by design (see the table in the .cc) are declared
-// shared with their reasons. After a run, read the verdict off the
-// ChannelChecker (ok() / Report()).
+// The two wiring tables — src/os/stack_wiring.h for the DES stack and
+// src/runtime/live_wiring.h for the live one — are rendered here into rings,
+// one per name, and checked directly:
+//   1. SPSC discipline: one consumer and one producing role per ring, unless
+//      the ring carries a shared-by-design reason;
+//   2. wait-graph acyclicity: a producer that spins on a blocking ring waits
+//      on its consumer, and those waits must never close a loop;
+//   3. rendering: RenderWiring (channel_checker.h) prints
+//      `ring <name> consumer=<c> producers=<p,...>` per ring, as it does for
+//      the wiring a run observed, so the equivalence gate is a string
+//      comparison.
 //
-// Compiled to no-ops when NEWTOS_CHECKERS is off, so fault campaigns can
-// keep the wiring call sites unconditionally.
+// StackChecker wires a ChannelChecker onto a full multiserver stack: each
+// server gets an actor identity, each owned input ring registers with the
+// checker, shared rings are declared with their table reasons, and a ring
+// with no row for the stack's configuration is a violation. After a run,
+// read the verdict off the ChannelChecker (ok() / Report()). Attach compiles
+// to a no-op when NEWTOS_CHECKERS is off, so fault campaigns can keep the
+// call sites unconditionally; the table checks are always built.
 
 #ifndef SRC_CHECK_STACK_CHECK_H_
 #define SRC_CHECK_STACK_CHECK_H_
 
+#include <string>
 #include <string_view>
+#include <vector>
 
 #include "src/check/channel_checker.h"
 #include "src/os/server.h"
@@ -20,25 +33,41 @@
 
 namespace newtos {
 
+// The DES stack's rings in one configuration, watchdog rings included,
+// sorted by name.
+std::vector<WiredRing> StackRings(const StackConfig& config);
+
+// The live stack's rings in one flavour, sorted by name.
+std::vector<WiredRing> LiveRings(bool mini);
+
+// One message per ring with several consumers, or several producing roles
+// and no shared reason.
+std::vector<std::string> CheckSpsc(const std::vector<WiredRing>& rings);
+
+// One message per cycle of the wait graph (producer -> consumer over every
+// blocking ring), as the chain "a -> ring -> b -> ... -> a" rotated to start
+// at its smallest role. `graph` names the table in the message.
+std::vector<std::string> CheckWaitCycles(const std::vector<WiredRing>& rings,
+                                         const std::string& graph);
+
 class StackChecker {
  public:
   explicit StackChecker(ChannelChecker* check) : check_(check) {}
-
-  // The sanctioned shared-producer table (reason string, or nullptr for
-  // strictly-SPSC rings). Public and checker-independent so tests can assert
-  // the static analyzer's analyze.toml [[shared]] entries mirror it.
-  static const char* SharedReasonFor(std::string_view ring_name);
 
   // Attaches every system server and app of the stack. Call after the stack
   // (and its apps) are built, before traffic flows.
   void Attach(MultiserverStack* stack);
 
   // Attaches one extra server (e.g. the fault tooling's WatchdogServer,
-  // which the stack itself never builds).
+  // which the stack itself never builds). Call after Attach: its rings are
+  // checked against the attached stack's configuration.
   void AttachServer(Server* server);
 
  private:
+  void AttachAs(Server* server, std::string_view role);
+
   ChannelChecker* check_;
+  std::vector<WiredRing> rings_;  // the attached stack's configuration
 };
 
 }  // namespace newtos

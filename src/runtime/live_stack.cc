@@ -41,8 +41,8 @@ bool ServiceWd(ServerContext& ctx, WdPort& wd, bool* wd_done) {
       ack.type = RtMsg::Type::kHeartbeatAck;
       ack.seq = m->seq;
       // The one sanctioned spin: the watchdog always drains its ack rings and
-      // never blocks back on this server, so the wait is bounded (mirrored by
-      // the [[blocking]] entry in tools/analyze/analyze.toml).
+      // never blocks back on this server, so the wait is bounded (the "*/wd"
+      // row of kLiveBlockingRings in live_wiring.h).
       // lint:allow(blocking-push): watchdog always drains acks; bounded wait
       while (!wd.out->TryPush(ack)) {
         if (ctx.StopRequested()) {
@@ -479,8 +479,8 @@ LiveStackResult RunLiveFig2(const LiveStackConfig& config) {
   };
   // Data rings come from the canonical topology table (live_wiring.h): the
   // row must exist and be flagged for this stack flavour, so the code cannot
-  // instantiate a ring the table (and the static analyzer reading it) does
-  // not know about.
+  // instantiate a ring the table (and the checks over it) does not know
+  // about.
   auto add_spec = [&](std::string_view name) -> Chan* {
     for (const LiveRingSpec& s : kLiveRingSpecs) {
       if (name == s.name) {

@@ -859,6 +859,13 @@ bool Validate(const Script& s, const std::string& file, ParseError* err) {
                   "add an inject directive or drop the expectation");
     }
     if (e.kind == ExpectCheck::Kind::kDelivered && e.deadline != 0 &&
+        s.topology == Topology::kIncast) {
+      // Checked here, not in ParseExpect: `topology` may follow the expect.
+      return fail("`expect delivered ... by <dur>` is p2p-only: the incast rig samples "
+                  "delivery only at the end of the run",
+                  "drop `by <dur>` to expect the floor at the end of the run", e.line);
+    }
+    if (e.kind == ExpectCheck::Kind::kDelivered && e.deadline != 0 &&
         e.deadline > s.warmup + s.run_for) {
       return fail("delivery deadline is past the end of the run",
                   "`by <dur>` must be <= warmup + run_for");

@@ -117,8 +117,8 @@ std::string FormatDur(SimTime t) { return FormatTime(t); }
 
 // What a run observed beyond its cell and counters, as its expects read it.
 // Only the p2p rig has a recovery plane and samples delivery at `by`
-// deadlines; the incast rig leaves `incidents` and `deadline_delivered` null,
-// so its `expect delivered ... by` is judged at the end of the run.
+// deadlines; the incast rig leaves `incidents` and `deadline_delivered` null
+// (the parser rejects `by` under `topology incast`).
 struct Observed {
   uint64_t corrupt_accepted = 0;
   uint64_t delivered_at_mark = 0;

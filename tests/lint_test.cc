@@ -10,9 +10,12 @@
 #include <gtest/gtest.h>
 
 #include <fstream>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
+
+#include "src/runtime/live_wiring.h"
 
 namespace newtos::lint {
 namespace {
@@ -108,6 +111,20 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(Lint, CleanFixtureHasNoDiagnostics) {
   const std::vector<Diagnostic> diags = LintFixture("clean.cc", AllRulesConfig());
   EXPECT_TRUE(diags.empty());
+}
+
+TEST(Lint, UnsanctionedPushFiresExactlyOnce) {
+  // With blocking-push alone on, the spin loop fires once, unwaived, on its
+  // own line; the retry, drain and comment look-alikes stay silent.
+  Config config;
+  std::string error;
+  ASSERT_TRUE(ParseConfig("[rule.blocking-push]\npaths = [\"fixtures/\"]\n", &config, &error))
+      << error;
+  const std::vector<Diagnostic> diags = LintFixture("blocking_push.cc", config);
+  ASSERT_EQ(diags.size(), 1u);
+  EXPECT_EQ(diags[0].rule, "blocking-push");
+  EXPECT_FALSE(diags[0].waived);
+  EXPECT_EQ(diags[0].line, 12);
 }
 
 TEST(Lint, RuleScopingRestrictsByPathPrefix) {
@@ -249,9 +266,21 @@ TEST(Lint, CheckedInConfigParsesAndTreeIsCleanUnderIt) {
       << error;
   std::vector<Diagnostic> diags;
   ASSERT_TRUE(LintTree(LINT_REPO_ROOT, config, &diags, &error)) << error;
+  std::set<std::string> spin_files;
   for (const Diagnostic& d : diags) {
     EXPECT_TRUE(d.waived) << d.file << ":" << d.line << " [" << d.rule << "] " << d.message;
+    if (d.rule == "blocking-push" && d.waived) {
+      spin_files.insert(d.file);
+    }
   }
+  // Spin sites and blocking rows stay linked: a waived spin lives in a file a
+  // kLiveBlockingRings row names, so the wait-graph check sees its edges, and
+  // every row's file still holds a spin.
+  std::set<std::string> row_files;
+  for (const LiveBlockingSpec& b : kLiveBlockingRings) {
+    row_files.insert(b.site);
+  }
+  EXPECT_EQ(spin_files, row_files);
 }
 
 }  // namespace

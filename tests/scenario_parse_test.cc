@@ -6,6 +6,7 @@
 
 #include <string>
 
+#include "src/scenario/defaults.h"
 #include "src/scenario/parser.h"
 
 namespace newtos::scenario {
@@ -328,6 +329,30 @@ TEST(ScenarioParse, IncastRejectsCountersItDoesNotMeasure) {
     ParseOk("topology incast clients 4\nexpect counter " + std::string(name) + " >= 0");
   }
   ParseOk("expect counter link_loss_drops == 0");
+}
+
+TEST(ScenarioParse, IncastRejectsDeliveryDeadline) {
+  // The incast rig samples delivery only at the end of the run, so a `by`
+  // deadline there would be judged at the wrong time. Either order of the
+  // two directives fails, pointing at the expect.
+  const ParseError err = FailAt("topology incast clients 4\nexpect delivered >= 1KB by 100ms");
+  EXPECT_EQ(err.line, 3);
+  EXPECT_NE(err.message.find("p2p-only"), std::string::npos);
+  EXPECT_NE(err.hint.find("drop `by <dur>`"), std::string::npos);
+  EXPECT_EQ(FailAt("expect delivered >= 1KB by 100ms\ntopology incast clients 4").line, 2);
+  ParseOk("topology incast clients 4\nexpect delivered >= 1KB");
+  ParseOk("expect delivered >= 1KB by 100ms");
+}
+
+TEST(ScenarioParse, ChanDelayWithoutDelayTakesTheDefault) {
+  const Script s =
+      ParseOk("inject chan_delay ip prob 0.1\ninject chan_delay tcp prob 0.1 delay 1ms");
+  ASSERT_EQ(s.injects.size(), 2u);
+  EXPECT_EQ(s.injects[0].delay, scenario_defaults::kChanDelay);
+  EXPECT_EQ(s.injects[1].delay, 1 * kMillisecond);
+  // The default is the delay every checked-in chan_delay script states
+  // (`delay 200us`), so a script may drop it without moving its results.
+  EXPECT_EQ(scenario_defaults::kChanDelay, 200 * kMicrosecond);
 }
 
 TEST(ScenarioParse, WatchdogExpectsAcceptedWhenWatchdogOn) {

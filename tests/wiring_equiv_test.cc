@@ -1,14 +1,15 @@
-// Static/dynamic wiring equivalence: the ring graph newtos_analyze extracts
-// from the sources must byte-match the wiring the runtime checkers observe.
+// The ring tables and the wiring the checkers observe.
 //
-// The static DES graph is a union over stack configurations (pf on/off,
-// syscall gateway on/off), so the dynamic side folds several testbed runs
-// into one ChannelChecker — WriteWiring merges rings by name. The live gates
-// compare RunLiveFig2's observed wiring against the static reading of
-// src/runtime/live_wiring.h for both stack flavours.
+// WiringTable checks the two tables themselves — src/os/stack_wiring.h for
+// the DES stack, src/runtime/live_wiring.h for the live one — for SPSC
+// discipline and wait-graph acyclicity, and pins each check's report on a
+// small synthetic table. WiringEquiv runs every DES configuration under its
+// own ChannelChecker and both live flavours, and compares the observed
+// wiring with that configuration's rendered table.
 
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -18,10 +19,11 @@
 #include "src/fault/watchdog.h"
 #include "src/os/message.h"
 #include "src/os/microreboot.h"
+#include "src/os/stack_wiring.h"
 #include "src/runtime/live_stack.h"
+#include "src/runtime/live_wiring.h"
 #include "src/workload/iperf.h"
 #include "src/workload/udp_flood.h"
-#include "tools/analyze/analyze.h"
 
 #if !NEWTOS_CHECKERS
 #error "wiring_equiv_test requires NEWTOS_CHECKERS (on by default)"
@@ -30,54 +32,126 @@
 namespace newtos {
 namespace {
 
-struct StaticGraph {
-  analyze::Config config;
-  analyze::Model model;
-};
-
-// Extracts the tree under the checked-in analyze.toml. Cheap enough (a few
-// dozen files lexed) to redo per test; keeps the tests independent.
-StaticGraph ExtractStaticGraph() {
-  StaticGraph g;
-  std::string error;
-  EXPECT_TRUE(analyze::LoadConfig(
-      std::string(ANALYZE_REPO_ROOT) + "/tools/analyze/analyze.toml", &g.config, &error))
-      << error;
-  EXPECT_TRUE(analyze::ExtractTree(ANALYZE_REPO_ROOT, g.config, &g.model, &error))
-      << error;
-  return g;
+StackConfig Configuration(bool use_pf, bool gateway) {
+  StackConfig config;
+  config.use_pf = use_pf;
+  config.use_syscall_gateway = gateway;
+  return config;
 }
 
-// The watchdog rig must outlive the shared checker's WriteWiring call, like
-// the testbeds: the checker keys ring state by channel address, so a
-// destroyed acks ring could otherwise donate its address (and stale state)
-// to a channel of the next configuration.
-struct WatchdogRig {
-  explicit WatchdogRig(Testbed& tb)
-      : mgr(&tb.sim()), watchdog(&tb.sim(), &mgr, WatchdogServer::Params()) {}
-  MicrorebootManager mgr;
-  WatchdogServer watchdog;
-};
+WiredRing Ring(std::string name, std::string consumer, std::vector<std::string> producers,
+               const char* shared = nullptr, const char* blocking = nullptr) {
+  WiredRing r;
+  r.name = std::move(name);
+  r.consumers = {std::move(consumer)};
+  r.producers = std::move(producers);
+  r.shared_reason = shared;
+  r.blocking_reason = blocking;
+  return r;
+}
 
-// One DES testbed run folded into the shared checker. With the gateway and
-// packet filter enabled the run also drives the watchdog (heartbeats + acks
-// for every system server) and one outbound UDP datagram, so the branches
-// only this configuration wires all get observed.
-void RunDesConfiguration(ChannelChecker* check, Testbed& tb, WatchdogRig* rig) {
-  SocketApi* api = tb.stack()->CreateApp("app", tb.machine().core(0));
-  if (rig != nullptr) {
-    rig->watchdog.BindCore(tb.machine().core(tb.stack()->config().watchdog_core));
-    for (Server* s : tb.stack()->SystemServers()) {
-      rig->watchdog.Watch(s, 1'000'000);  // Watch() before Attach(): wd rings must exist
+bool HasRing(const std::vector<WiredRing>& rings, const std::string& name) {
+  for (const WiredRing& r : rings) {
+    if (r.name == name) {
+      return true;
     }
-    rig->watchdog.Start();
   }
+  return false;
+}
 
-  StackChecker wiring(check);
-  wiring.Attach(tb.stack());
-  if (rig != nullptr) {
-    wiring.AttachServer(&rig->watchdog);
+TEST(WiringTable, StackTablesAreSpscAndAcyclic) {
+  std::vector<std::vector<WiredRing>> des;
+  for (const bool use_pf : {false, true}) {
+    for (const bool gateway : {false, true}) {
+      des.push_back(StackRings(Configuration(use_pf, gateway)));
+      EXPECT_TRUE(CheckSpsc(des.back()).empty())
+          << "pf=" << use_pf << " gateway=" << gateway << ": " << CheckSpsc(des.back())[0];
+      EXPECT_TRUE(CheckWaitCycles(des.back(), "DES").empty());
+    }
   }
+  for (const bool mini : {false, true}) {
+    const std::vector<WiredRing> live = LiveRings(mini);
+    const std::string graph = mini ? "live-mini" : "live-full";
+    EXPECT_TRUE(CheckSpsc(live).empty()) << CheckSpsc(live)[0];
+    EXPECT_TRUE(CheckWaitCycles(live, graph).empty()) << CheckWaitCycles(live, graph)[0];
+  }
+  // Every shared reason and blocking row names a ring some table builds.
+  for (const StackSharedRing& s : kStackSharedRings) {
+    bool found = false;
+    for (const auto& rings : des) {
+      found = found || HasRing(rings, s.name);
+    }
+    EXPECT_TRUE(found) << "shared reason for a ring no configuration builds: " << s.name;
+  }
+  const std::vector<WiredRing> full = LiveRings(/*mini=*/false);
+  for (const LiveBlockingSpec& b : kLiveBlockingRings) {
+    bool found = false;
+    for (const WiredRing& r : full) {
+      found = found || (r.blocking_reason != nullptr && std::string(r.blocking_reason) == b.reason);
+    }
+    EXPECT_TRUE(found) << "blocking row matches no live ring: " << b.ring;
+  }
+}
+
+TEST(WiringTable, SecondProducerWithoutReasonFiresOnce) {
+  const std::vector<std::string> report = CheckSpsc(
+      {Ring("rx/data", "sink", {"alpha", "beta"}), Ring("tx/data", "beta", {"sink"})});
+  ASSERT_EQ(report.size(), 1u);
+  EXPECT_EQ(report[0],
+            "ring 'rx/data' has 2 producing roles {alpha,beta} (consumer: sink) and no "
+            "shared-by-design reason");
+}
+
+TEST(WiringTable, SharedRingWithReasonPasses) {
+  EXPECT_TRUE(
+      CheckSpsc({Ring("mux/shared", "mux", {"left", "right"}, "left and right both feed the mux")})
+          .empty());
+}
+
+TEST(WiringTable, BlockingLoopFiresOnceWithCanonicalChain) {
+  // The search enters the loop at pong and reports it rotated to start at
+  // ping; alpha only waits into the loop, and the non-blocking alpha/in
+  // closes no second one.
+  const char* spin = "spins";
+  const std::vector<std::string> report = CheckWaitCycles(
+      {Ring("alpha/in", "alpha", {"pong"}), Ring("ping/in", "ping", {"pong"}, nullptr, spin),
+       Ring("pong/in", "pong", {"alpha", "ping"}, "both", spin)},
+      "fixture");
+  ASSERT_EQ(report.size(), 1u);
+  EXPECT_EQ(report[0],
+            "blocking-wait cycle in the fixture graph: ping -> pong/in -> pong -> ping/in -> ping");
+}
+
+TEST(WiringTable, CleanTableRendersCanonically) {
+  const std::vector<WiredRing> mini = LiveRings(/*mini=*/true);
+  EXPECT_TRUE(CheckSpsc(mini).empty());
+  EXPECT_EQ(RenderWiring(mini),
+            "ring app/tcp consumer=tcp producers=app\n"
+            "ring peer/tcp consumer=tcp producers=peer\n"
+            "ring tcp/peer consumer=peer producers=tcp\n");
+}
+
+// One DES configuration under watch, through its own checker. The watchdog
+// heartbeats every system server, and one outbound UDP datagram makes udp
+// push ip/tx, so every row the configuration holds sees traffic. The checker
+// is declared first so it outlives every channel that reports to it.
+void ExpectDesMatchesTable(bool use_pf, bool gateway) {
+  ChannelChecker check;
+  TestbedOptions opts;
+  opts.stack = Configuration(use_pf, gateway);
+  Testbed tb(opts);
+  SocketApi* api = tb.stack()->CreateApp("app", tb.machine().core(0));
+  MicrorebootManager mgr(&tb.sim());
+  WatchdogServer watchdog(&tb.sim(), &mgr, WatchdogServer::Params());
+  watchdog.BindCore(tb.machine().core(tb.stack()->config().watchdog_core));
+  for (Server* s : tb.stack()->SystemServers()) {
+    watchdog.Watch(s, 1'000'000);  // Watch() before Attach(): wd rings must exist
+  }
+  watchdog.Start();
+
+  StackChecker wiring(&check);
+  wiring.Attach(tb.stack());
+  wiring.AttachServer(&watchdog);
 
   // Workloads start only after Attach: BindDirect pushes its bind request
   // into udp/app synchronously, and a pre-attach push would make the
@@ -96,9 +170,8 @@ void RunDesConfiguration(ChannelChecker* check, Testbed& tb, WatchdogRig* rig) {
   UdpPeerFlood flood(&tb.peer(), fp);
   flood.Start();
 
-  // One outbound datagram makes udp push ip/tx. The direct anonymous push
-  // into udp/app is unrecorded (actor 0), matching the static graph, where
-  // udp/app has no in-graph producer either.
+  // The direct anonymous push into udp/app is unrecorded (actor 0), as the
+  // table's producer-less udp/app row says.
   Msg send;
   send.type = MsgType::kSockSend;
   send.addr = tb.peer_addr();
@@ -110,37 +183,15 @@ void RunDesConfiguration(ChannelChecker* check, Testbed& tb, WatchdogRig* rig) {
   EXPECT_GT(sink.total_bytes(), 0u);
   EXPECT_GT(udp_sink.received(), 0u);
   std::ostringstream report;
-  check->Report(report);
-  EXPECT_TRUE(check->ok()) << report.str();
+  check.Report(report);
+  EXPECT_TRUE(check.ok()) << report.str();
+  EXPECT_EQ(RenderWiring(check.Wiring()), RenderWiring(StackRings(tb.stack()->config())));
 }
 
-TEST(WiringEquiv, DesUnionGraphMatchesStaticExtraction) {
-  ChannelChecker check;
-
-  // Configuration A: packet filter + syscall gateway + watchdog.
-  TestbedOptions full_opts;
-  full_opts.stack.use_pf = true;
-  full_opts.stack.use_syscall_gateway = true;
-  Testbed full_tb(full_opts);
-  WatchdogRig rig(full_tb);
-  RunDesConfiguration(&check, full_tb, &rig);
-
-  // Configuration B: direct wiring — ip feeds L4 itself, apps talk to tcp
-  // directly. Both testbeds (and the rig) stay alive until WriteWiring so no
-  // registered channel address is reused across runs.
-  TestbedOptions direct_opts;
-  direct_opts.stack.use_pf = false;
-  direct_opts.stack.use_syscall_gateway = false;
-  Testbed direct_tb(direct_opts);
-  RunDesConfiguration(&check, direct_tb, /*rig=*/nullptr);
-
-  const StaticGraph g = ExtractStaticGraph();
-  std::ostringstream statically;
-  analyze::WriteDesWiring(g.model, statically);
-  std::ostringstream observed;
-  check.WriteWiring(observed);
-  EXPECT_EQ(observed.str(), statically.str());
-}
+TEST(WiringEquiv, DesPfGatewayMatchesTable) { ExpectDesMatchesTable(true, true); }
+TEST(WiringEquiv, DesPfDirectMatchesTable) { ExpectDesMatchesTable(true, false); }
+TEST(WiringEquiv, DesNoPfGatewayMatchesTable) { ExpectDesMatchesTable(false, true); }
+TEST(WiringEquiv, DesNoPfDirectMatchesTable) { ExpectDesMatchesTable(false, false); }
 
 TEST(WiringEquiv, LiveFullStackMatchesStaticTable) {
   LiveStackConfig cfg;
@@ -150,11 +201,7 @@ TEST(WiringEquiv, LiveFullStackMatchesStaticTable) {
   ASSERT_FALSE(r.wiring.empty());
   // The wd rings only show up as wired once real heartbeat traffic flowed.
   EXPECT_GE(r.heartbeat_rounds, 1u);
-
-  const StaticGraph g = ExtractStaticGraph();
-  std::ostringstream statically;
-  analyze::WriteLiveWiring(g.model, /*mini=*/false, statically);
-  EXPECT_EQ(r.wiring, statically.str());
+  EXPECT_EQ(r.wiring, RenderWiring(LiveRings(/*mini=*/false)));
 }
 
 TEST(WiringEquiv, LiveMiniStackMatchesStaticTable) {
@@ -164,24 +211,7 @@ TEST(WiringEquiv, LiveMiniStackMatchesStaticTable) {
   const LiveStackResult r = RunLiveFig2(cfg);
   ASSERT_TRUE(r.completed);
   ASSERT_FALSE(r.wiring.empty());
-
-  const StaticGraph g = ExtractStaticGraph();
-  std::ostringstream statically;
-  analyze::WriteLiveWiring(g.model, /*mini=*/true, statically);
-  EXPECT_EQ(r.wiring, statically.str());
-}
-
-TEST(WiringEquiv, SharedWaiversMirrorDynamicChecker) {
-  // Every shared-by-design pattern the dynamic checker knows must also be
-  // declared (and re-justified) in analyze.toml, so the two toolchains can
-  // never drift apart on which rings are legitimately multi-producer.
-  const StaticGraph g = ExtractStaticGraph();
-  for (const char* name :
-       {"ip/tx", "x/acks", "x/events", "x/app", "x/req", "x/evt"}) {
-    ASSERT_NE(StackChecker::SharedReasonFor(name), nullptr) << name;
-    EXPECT_NE(g.config.FindShared(name), nullptr)
-        << "dynamic checker shares '" << name << "' but analyze.toml does not";
-  }
+  EXPECT_EQ(r.wiring, RenderWiring(LiveRings(/*mini=*/true)));
 }
 
 }  // namespace

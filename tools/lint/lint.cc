@@ -737,8 +737,8 @@ class Linter {
   // --- blocking-push: a producer busy-waiting on a ring push,
   // `while (!ring.Push(x))` / `->TryPush` / `.TryEmplace`. Backpressure must
   // park or drop, never spin: a spinning producer plus a blocked consumer is
-  // the deadlock shape the static wait-graph check proves absent, and every
-  // sanctioned spin must be visible to it via analyze.toml.
+  // the deadlock shape the wait-graph check proves absent, and every
+  // sanctioned spin must be visible to it as a row of kLiveBlockingRings.
   void CheckBlockingPush() {
     for (size_t l = 0; l < file_.code.size(); ++l) {
       const std::string& line = file_.code[l];
@@ -763,8 +763,8 @@ class Linter {
         if (member_call) {
           Report("blocking-push", static_cast<int>(l + 1),
                  "busy-wait on a ring push; park or shed instead — sanctioned "
-                 "spin sites need an inline waiver and a matching [[blocking]] "
-                 "entry in tools/analyze/analyze.toml");
+                 "spin sites need an inline waiver and a kLiveBlockingRings row "
+                 "naming the file (src/runtime/live_wiring.h)");
           break;
         }
       }

@@ -50,9 +50,9 @@
 //                    and the TryPush/TryEmplace variants) — a producer that
 //                    spins until its consumer drains turns backpressure into
 //                    a potential deadlock; the sanctioned spin sites carry an
-//                    inline waiver plus a matching [[blocking]] entry in
-//                    tools/analyze/analyze.toml so the static deadlock check
-//                    knows about the wait edge
+//                    inline waiver plus a kLiveBlockingRings row naming the
+//                    file (src/runtime/live_wiring.h), so the wait-graph
+//                    check knows about the wait edge
 
 #ifndef TOOLS_LINT_LINT_H_
 #define TOOLS_LINT_LINT_H_
