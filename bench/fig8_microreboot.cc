@@ -79,7 +79,8 @@ CrashOutcome CrashServer(const std::string& which, FreqKhz stack_freq, bool chec
 void Run(const char* argv0) {
   Table t({"victim", "stack_ghz", "recovery_ms", "incident_gbps", "steady_gbps", "alive_after"});
   const std::vector<FreqKhz> freqs{3'600'000 * kKhz, 1'600'000 * kKhz, 800'000 * kKhz};
-  for (const std::string& which : {"driver", "ip", "tcp-cold", "tcp-ckpt"}) {
+  for (const char* which_name : {"driver", "ip", "tcp-cold", "tcp-ckpt"}) {
+    const std::string which = which_name;
     for (FreqKhz f : freqs) {
       const bool ckpt = which == "tcp-ckpt";
       const std::string server = which.substr(0, 3) == "tcp" ? "tcp" : which;

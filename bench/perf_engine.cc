@@ -8,7 +8,8 @@
 //
 // Modes:
 //   (default)  full measurement window, prints a table and writes
-//              BENCH_engine.json at the repo root (override with --out PATH)
+//              BENCH_engine.json at the repo root (override with --out PATH);
+//              host_cpus records how many CPUs this process could run on
 //   --check    short window asserting allocations/event == 0 in steady
 //              state; exits non-zero on regression. Wired into ctest.
 //   --trace M  M = off (no tracer built), wired (full tracing wired but
@@ -364,6 +365,7 @@ bool WriteJson(const PerfResult& r, TraceMode trace_mode, const std::string& pat
   JsonWriter w;
   w.Str("bench", "perf_engine")
       .Str("scenario", "fig2_bulk_tx_base_clock")
+      .Int("host_cpus", AvailableCpuCount())
       .Str("trace", TraceModeName(trace_mode))
       .Num("sim_window_ms", r.sim_window_ms, 1)
       .Uint("events", r.events)

@@ -35,11 +35,10 @@
 
 namespace newtos {
 
-#ifdef __cpp_lib_hardware_interference_size
-inline constexpr size_t kCacheLineBytes = std::hardware_destructive_interference_size;
-#else
+// Pinned rather than std::hardware_destructive_interference_size: that value
+// may differ between compilers and tuning flags (GCC warns that it is not
+// ABI-stable), and it is 64 on x86-64 anyway.
 inline constexpr size_t kCacheLineBytes = 64;
-#endif
 
 #if NEWTOS_CHECKERS
 // The calling thread's SPSC identity token — the value the ring's first-touch

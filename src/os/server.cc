@@ -73,14 +73,15 @@ std::vector<Server::Chan*> Server::Inputs() const {
 void Server::AddWorkSource(WorkSource source) { sources_.push_back(std::move(source)); }
 
 Server::WorkSource* Server::PickSource() {
-  if (sources_.empty()) {
-    return nullptr;
-  }
-  for (size_t i = 0; i < sources_.size(); ++i) {
-    const size_t idx = (rr_next_ + i) % sources_.size();
+  const size_t n = sources_.size();
+  size_t idx = rr_next_;
+  for (size_t i = 0; i < n; ++i) {
     WorkSource& s = sources_[idx];
+    if (++idx == n) {
+      idx = 0;
+    }
     if (s.has_work()) {
-      rr_next_ = (idx + 1) % sources_.size();
+      rr_next_ = idx;
       return &s;
     }
   }
@@ -99,8 +100,7 @@ bool Server::Idle() const {
   return true;
 }
 
-void Server::NotifyIdleChange() {
-  const bool idle = Idle();
+void Server::NotifyIdleChange(bool idle) {
   if (idle != last_reported_idle_) {
     last_reported_idle_ = idle;
     if (idle_observer_) {
@@ -134,11 +134,11 @@ void Server::MaybeSchedule() {
 #endif
   WorkSource* src = PickSource();
   if (src == nullptr) {
-    NotifyIdleChange();
+    NotifyIdleChange(true);  // not processing, and PickSource found every source empty
     return;
   }
   processing_ = true;
-  NotifyIdleChange();
+  NotifyIdleChange(false);
   // Drain a burst from the chosen source into one core work item: the cycle
   // costs add up per message, but tenant-switch pollution is paid once per
   // burst — exactly how batched poll loops amortize co-location.
@@ -173,7 +173,7 @@ void Server::MaybeSchedule() {
 #if NEWTOS_CHECKERS
     // Handle() pushes into downstream rings: the producer identity of every
     // Emit in this burst is this server.
-    ChannelChecker::ScopedActor check_scope(check_, check_actor_);
+    ChannelChecker::ScopedActor emit_scope(check_, check_actor_);
 #endif
     // Swap into the scratch buffer before handling: a crash inside Handle()
     // clears batch_ but must not disturb the burst being iterated.
@@ -295,7 +295,7 @@ void Server::Crash() {
     }
   }
   OnCrash();
-  NotifyIdleChange();
+  NotifyIdleChange(Idle());
 }
 
 void Server::Restart(Cycles restart_cycles, std::function<void()> on_ready) {

@@ -21,10 +21,14 @@
 #ifndef SRC_OS_SERVER_H_
 #define SRC_OS_SERVER_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <new>
 #include <string>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "src/chan/sim_channel.h"
@@ -46,6 +50,45 @@ struct ServerTraceHooks {
   NameId crash = 0;    // instant: the server died
   NameId restart = 0;  // instant: recovery completed, processing resumes
   const NameId* msg_names = nullptr;
+};
+
+// WorkFn<R>: the pointer-sized callable behind a work source. The poll loop
+// asks every source `has_work` on each pick and on each idle check, so the
+// call is one plain function pointer over an inline capture: no heap, no
+// manager, and copying it is copying 24 bytes.
+//
+// The capture must be trivially copyable and at most kCapacity (16) bytes.
+// Every source captures `this` or one `Chan*`; a capture that breaks either
+// rule fails to compile (the static_assert below, exercised by the
+// WorkFn.*FailsToCompile ctests) rather than falling back to something slower.
+template <typename R>
+class WorkFn {
+ public:
+  static constexpr size_t kCapacity = 16;
+
+  // True for captures WorkFn accepts.
+  template <typename D>
+  static constexpr bool kFits = sizeof(D) <= kCapacity && alignof(D) <= alignof(void*) &&
+                                std::is_trivially_copyable_v<D>;
+
+  WorkFn() = default;
+
+  template <typename F, typename D = std::decay_t<F>,
+            typename = std::enable_if_t<!std::is_same_v<D, WorkFn> &&
+                                        std::is_invocable_r_v<R, const D&>>>
+  WorkFn(F&& fn) {  // NOLINT(google-explicit-constructor)
+    static_assert(kFits<D>,
+                  "work-source capture must be trivially copyable and at most 16 bytes: "
+                  "capture `this` or a channel pointer, not values");
+    ::new (static_cast<void*>(buf_)) D(std::forward<F>(fn));
+    call_ = [](const void* b) -> R { return (*std::launder(reinterpret_cast<const D*>(b)))(); };
+  }
+
+  R operator()() const { return call_(buf_); }
+
+ private:
+  alignas(void*) unsigned char buf_[kCapacity] = {};
+  R (*call_)(const void*) = nullptr;
 };
 
 class Server {
@@ -76,8 +119,8 @@ class Server {
 
   // Registers a custom work source (e.g. the NIC RX ring).
   struct WorkSource {
-    std::function<bool()> has_work;
-    std::function<Msg()> take;          // precondition: has_work()
+    WorkFn<bool> has_work;
+    WorkFn<Msg> take;                   // precondition: has_work()
     Cycles overhead_cycles = 0;         // dequeue-equivalent cost of taking one item
   };
   void AddWorkSource(WorkSource source);
@@ -182,7 +225,8 @@ class Server {
 #endif
 
  private:
-  void NotifyIdleChange();
+  // Reports `idle` (what Idle() returns now) to the observer if it changed.
+  void NotifyIdleChange(bool idle);
   WorkSource* PickSource();
   void LivelockSpin(uint64_t gen);
   void AckHeartbeat(const Msg& probe);

@@ -90,7 +90,8 @@ SocketApi* MultiserverStack::CreateApp(const std::string& name, Core* core) {
     // app -> gateway -> tcp shard; events come back shard -> gateway -> app.
     // Registration order keeps every shard's app index aligned with the
     // gateway's.
-    uint32_t id = 0;
+    // Read only by the assert below.
+    [[maybe_unused]] uint32_t id = 0;
     for (auto& shard : tcps_) {
       id = shard->RegisterApp(syscall_->evt_in());
     }

@@ -6,7 +6,7 @@ bool EventHandle::Cancel() {
   if (!pool_) {
     return false;
   }
-  EventSlotPool::Slot& s = pool_->slots[index_];
+  EventSlotPool::Slot& s = pool_->slot(index_);
   if (s.gen != gen_ || s.cancelled) {
     return false;  // already fired/discarded (slot recycled) or cancelled
   }
@@ -19,14 +19,14 @@ bool EventHandle::pending() const {
   if (!pool_) {
     return false;
   }
-  const EventSlotPool::Slot& s = pool_->slots[index_];
+  const EventSlotPool::Slot& s = pool_->slot(index_);
   return s.gen == gen_ && !s.cancelled;
 }
 
 void EventQueue::Compact() {
   heap_.erase(std::remove_if(heap_.begin(), heap_.end(),
                              [this](const Entry& e) {
-                               if (!pool_->slots[e.slot].cancelled) {
+                               if (!pool_->slot(e.slot).cancelled) {
                                  return false;
                                }
                                pool_->Release(e.slot);  // also clears `cancelled`
@@ -47,7 +47,19 @@ void EventQueue::Clear() {
 
 void EventQueue::Reserve(size_t n) {
   heap_.reserve(n);
-  pool_->slots.reserve(n);
+  pool_->Reserve(n);
+}
+
+void EventSlotPool::AddChunk() {
+  // lint:allow(heap-new): a chunk of kChunkSlots slots, allocated only when the pool outgrows its high-water mark (Reserve() pre-allocates); chunks never move, so a firing callback can run in its slot
+  chunks.emplace_back(new Slot[kChunkSlots]);
+}
+
+void EventSlotPool::Reserve(size_t n) {
+  chunks.reserve((n + kChunkSlots - 1) / kChunkSlots);
+  while (chunks.size() * kChunkSlots < n) {
+    AddChunk();
+  }
 }
 
 }  // namespace newtos

@@ -5,16 +5,25 @@
 // (FIFO tie-break on a monotonically increasing sequence number), which makes
 // every simulation in this project bit-for-bit reproducible.
 //
-// Fast-path design (PR 2): the heap holds small POD entries {when, seq,
-// slot}; the callback and cancellation state live in a slab-allocated,
-// generation-counted slot pool. Pushing an event acquires a recycled slot
-// (no allocation once the pool has grown to the workload's high-water mark),
-// and an EventHandle is just {pool, slot index, generation} — cancelling
-// flips a bit in the slot, and a stale handle (its slot was recycled after
-// the event fired or was discarded) is detected by a generation mismatch.
-// Cancelled entries are lazily skipped at the top of the heap and eagerly
-// compacted away whenever they outnumber the live entries, so heavy timer
-// churn (e.g. tab5_conn_churn) cannot grow the heap without bound.
+// Layout: the heap holds small POD entries {when, seq, slot}; the callback
+// and cancellation state live in a generation-counted slot pool. Pushing an
+// event acquires a recycled slot (no allocation once the pool has grown to
+// the workload's high-water mark), and an EventHandle is just {pool, slot
+// index, generation} — cancelling flips a bit in the slot, and a stale
+// handle (its slot was recycled after the event fired or was discarded) is
+// detected by a generation mismatch. Cancelled entries are lazily skipped at
+// the top of the heap and eagerly compacted away whenever they outnumber the
+// live entries, so heavy timer churn (e.g. tab5_conn_churn) cannot grow the
+// heap without bound.
+//
+// In-place dispatch: slots live in fixed-size chunks that never relocate.
+// Push constructs the callable straight into its slot, and RunNext runs it
+// where it lies — so an event's callback is never moved, however many events
+// that callback schedules (and however far the pool grows) while it runs.
+// The firing slot's generation is bumped before the call (its handles read
+// as fired inside the callback) and the slot is recycled after it returns.
+// Order is untouched: the heap entry leaves the heap before the call, so
+// anything the callback pushes sorts by (when, seq) against what remains.
 //
 // The hot methods are defined inline below the class so the simulator's run
 // loop compiles down to direct heap manipulation with no call overhead.
@@ -25,6 +34,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cstdint>
+#include <memory>
 #include <utility>
 #include <vector>
 
@@ -39,6 +49,10 @@ namespace newtos {
 // outlive the queue without paying shared_ptr's atomic ops on every Push.
 struct EventSlotPool {
   static constexpr uint32_t kNil = 0xffffffff;
+  // Slots per chunk. A chunk never moves once allocated, so a slot's address
+  // is stable for the pool's lifetime.
+  static constexpr uint32_t kChunkShift = 8;
+  static constexpr uint32_t kChunkSlots = uint32_t{1} << kChunkShift;
 
   struct Slot {
     InlineCallback fn;
@@ -47,16 +61,33 @@ struct EventSlotPool {
     bool cancelled = false;
   };
 
-  std::vector<Slot> slots;
+  std::vector<std::unique_ptr<Slot[]>> chunks;
+  uint32_t used = 0;  // slots handed out so far; the rest of the last chunk is unused
   uint32_t free_head = kNil;
   // Cancelled entries still occupying the heap; drives eager compaction.
   size_t cancelled_in_heap = 0;
   uint32_t refcount = 0;  // managed by PoolRef only
 
-  uint32_t Acquire(InlineCallback fn);
+  Slot& slot(uint32_t index) {
+    return chunks[index >> kChunkShift][index & (kChunkSlots - 1)];
+  }
+
+  // Returns the index of an empty slot (recycled, or fresh from the chunks).
+  uint32_t Acquire();
   // Destroys the slot's callback, bumps the generation (invalidating every
   // outstanding handle to it) and recycles the index.
-  void Release(uint32_t index);
+  void Release(uint32_t index) {
+    ++slot(index).gen;
+    Recycle(index);
+  }
+  // Release() without the generation bump, for a slot whose event already
+  // bumped it when it fired.
+  void Recycle(uint32_t index);
+  // Allocates chunks until `n` slots exist.
+  void Reserve(size_t n);
+
+ private:
+  void AddChunk();
 };
 
 // Intrusive smart pointer for EventSlotPool (see refcount comment above).
@@ -119,11 +150,10 @@ class EventHandle {
 // Min-heap of timed callbacks. Not thread-safe: the simulator is
 // single-threaded by design.
 //
-// Accessor contract: Empty(), NextTime() and Pop() are all self-compacting —
-// each discards cancelled entries from the top of the heap first, so they
-// may be called in any order (there is no hidden precondition that Empty()
-// ran first). NextTime()/Pop() still require a live event to exist, i.e.
-// !Empty().
+// Accessor contract: Empty(), NextTime() and RunNext() are all
+// self-compacting — each discards cancelled entries from the top of the heap
+// first, so they may be called in any order. NextTime() still requires a live
+// event to exist, i.e. !Empty().
 class EventQueue {
  public:
   // lint:allow(heap-new): one-time slab allocation at engine construction; events recycle slots
@@ -131,9 +161,11 @@ class EventQueue {
   EventQueue(const EventQueue&) = delete;
   EventQueue& operator=(const EventQueue&) = delete;
 
-  // Enqueues `fn` to fire at absolute time `when`. `when` may be in the past
-  // relative to other queued events; ordering is purely by (when, seq).
-  EventHandle Push(SimTime when, InlineCallback fn);
+  // Enqueues `fn` to fire at absolute time `when`, constructing it in its
+  // slot. `when` may be in the past relative to other queued events;
+  // ordering is purely by (when, seq).
+  template <typename F>
+  EventHandle Push(SimTime when, F&& fn);
 
   // True if no live (uncancelled) events remain.
   bool Empty();
@@ -141,9 +173,12 @@ class EventQueue {
   // Time of the earliest live event. Precondition: !Empty().
   SimTime NextTime();
 
-  // Removes and returns the earliest live event's callback, along with its
-  // time. Precondition: !Empty().
-  std::pair<SimTime, InlineCallback> Pop();
+  // Fires the earliest live event if it is due at or before `until`:
+  // removes it from the heap, marks it fired (its handles go stale), calls
+  // `on_fire(when)`, runs the callback in its slot, then recycles the slot.
+  // Returns false, and fires nothing, when no live event is due.
+  template <typename OnFire>
+  bool RunNext(SimTime until, OnFire&& on_fire);
 
   // Pre-sizes the heap and the slot pool so a run whose concurrent-event
   // high-water mark stays under `n` never regrows either mid-run.
@@ -198,52 +233,51 @@ class EventQueue {
 
 // --- Hot-path inline definitions ---
 
-inline uint32_t EventSlotPool::Acquire(InlineCallback fn) {
-  uint32_t index;
+inline uint32_t EventSlotPool::Acquire() {
   if (free_head != kNil) {
-    index = free_head;
-    Slot& s = slots[index];
+    const uint32_t index = free_head;
+    Slot& s = slot(index);
     free_head = s.next_free;
     s.next_free = kNil;
     assert(!s.cancelled && !s.fn);
-    s.fn = std::move(fn);
-  } else {
-    index = static_cast<uint32_t>(slots.size());
-    Slot& s = slots.emplace_back();
-    s.fn = std::move(fn);
+    return index;
   }
-  return index;
+  if (used == chunks.size() * kChunkSlots) {
+    AddChunk();
+  }
+  return used++;
 }
 
-inline void EventSlotPool::Release(uint32_t index) {
-  Slot& s = slots[index];
+inline void EventSlotPool::Recycle(uint32_t index) {
+  Slot& s = slot(index);
   s.fn = InlineCallback();
   s.cancelled = false;
-  ++s.gen;  // every outstanding handle to this slot is now stale
   s.next_free = free_head;
   free_head = index;
 }
 
-inline EventHandle EventQueue::Push(SimTime when, InlineCallback fn) {
+template <typename F>
+inline EventHandle EventQueue::Push(SimTime when, F&& fn) {
   // Eager compaction: when cancelled entries outnumber live ones, sweep them
   // out instead of letting heavy timer churn grow the heap without bound.
   if (pool_->cancelled_in_heap > heap_.size() / 2 && heap_.size() >= 64) {
     Compact();
   }
-  const uint32_t slot = pool_->Acquire(std::move(fn));
-  heap_.push_back(Entry{when, next_seq_++, slot});
+  const uint32_t index = pool_->Acquire();
+  EventSlotPool::Slot& s = pool_->slot(index);
+  s.fn.Emplace(std::forward<F>(fn));
+  heap_.push_back(Entry{when, next_seq_++, index});
   std::push_heap(heap_.begin(), heap_.end(), Later{});
-  return EventHandle(pool_, slot, pool_->slots[slot].gen);
+  return EventHandle(pool_, index, s.gen);
 }
 
 inline void EventQueue::SkipCancelled() {
   // Steady-state fast path: with no cancellations pending anywhere, skip the
-  // slot lookup entirely — this runs three times per event (Empty/NextTime/
-  // Pop) and the slot array access is a near-guaranteed cache miss.
+  // slot lookup entirely — the slot access is a near-guaranteed cache miss.
   if (pool_->cancelled_in_heap == 0) {
     return;
   }
-  while (!heap_.empty() && pool_->slots[heap_.front().slot].cancelled) {
+  while (!heap_.empty() && pool_->slot(heap_.front().slot).cancelled) {
     --pool_->cancelled_in_heap;
     pool_->Release(heap_.front().slot);
     std::pop_heap(heap_.begin(), heap_.end(), Later{});
@@ -262,15 +296,23 @@ inline SimTime EventQueue::NextTime() {
   return heap_.front().when;
 }
 
-inline std::pair<SimTime, InlineCallback> EventQueue::Pop() {
+template <typename OnFire>
+inline bool EventQueue::RunNext(SimTime until, OnFire&& on_fire) {
   SkipCancelled();
-  assert(!heap_.empty());
+  if (heap_.empty() || heap_.front().when > until) {
+    return false;
+  }
   std::pop_heap(heap_.begin(), heap_.end(), Later{});
   const Entry e = heap_.back();
   heap_.pop_back();
-  InlineCallback fn = std::move(pool_->slots[e.slot].fn);
-  pool_->Release(e.slot);  // marks the event fired (handles go stale)
-  return {e.when, std::move(fn)};
+  // The slot stays out of the free list until the callback returns, and its
+  // chunk never moves, so `s` stays valid while the callback pushes events.
+  EventSlotPool::Slot& s = pool_->slot(e.slot);
+  ++s.gen;  // fired: every handle to it is now stale, also inside the callback
+  on_fire(e.when);
+  s.fn();
+  pool_->Recycle(e.slot);
+  return true;
 }
 
 }  // namespace newtos

@@ -9,6 +9,7 @@
 #define SRC_SIM_SIMULATION_H_
 
 #include <cstdint>
+#include <utility>
 
 #include "src/sim/event_queue.h"
 #include "src/sim/time.h"
@@ -26,19 +27,22 @@ class Simulation {
 
   // Schedules `fn` to run `delay` from now. Negative delays clamp to zero
   // (fire "immediately", after already-queued events at the current instant).
-  EventHandle Schedule(SimTime delay, InlineCallback fn) {
+  // The callable is constructed straight into its event slot.
+  template <typename F>
+  EventHandle Schedule(SimTime delay, F&& fn) {
     if (delay < 0) {
       delay = 0;
     }
-    return queue_.Push(now_ + delay, std::move(fn));
+    return queue_.Push(now_ + delay, std::forward<F>(fn));
   }
 
   // Schedules `fn` at absolute time `when`; clamps to Now() if in the past.
-  EventHandle ScheduleAt(SimTime when, InlineCallback fn) {
+  template <typename F>
+  EventHandle ScheduleAt(SimTime when, F&& fn) {
     if (when < now_) {
       when = now_;
     }
-    return queue_.Push(when, std::move(fn));
+    return queue_.Push(when, std::forward<F>(fn));
   }
 
   // Pre-sizes the event queue for a known concurrent-event high-water mark,
@@ -81,8 +85,9 @@ class Simulation {
   void set_lane(int lane) { lane_ = lane; }
 
  private:
-  // Pops and runs one event; advances the clock. Precondition: queue not empty.
-  void Step();
+  // Runs the earliest live event if it is due at or before `until`,
+  // advancing the clock to it first. Returns false if none is due.
+  bool Step(SimTime until);
 
   EventQueue queue_;
   SimTime now_ = 0;

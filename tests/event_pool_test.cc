@@ -1,8 +1,14 @@
 // Tests for the event queue's slot pool: slot recycling, generation-counted
-// handle invalidation, cancel-after-fire safety, and eager compaction.
+// handle invalidation, cancel-after-fire safety, eager compaction, and the
+// in-place dispatch contract (callbacks run in their slot, which never moves
+// while they run, and every capture is destroyed exactly once).
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cstdint>
+#include <limits>
+#include <memory>
 #include <utility>
 #include <vector>
 
@@ -12,6 +18,23 @@
 namespace newtos {
 namespace {
 
+constexpr SimTime kForever = std::numeric_limits<SimTime>::max();
+
+// Runs the earliest live event in place and returns its time.
+SimTime FireNext(EventQueue& q) {
+  SimTime when = -1;
+  EXPECT_TRUE(q.RunNext(kForever, [&when](SimTime w) { when = w; }));
+  return when;
+}
+
+// A shared_ptr whose pointee bumps `*deleted` when the last owner lets go.
+std::shared_ptr<int> Tracked(int* deleted) {
+  return std::shared_ptr<int>(new int(7), [deleted](int* p) {
+    ++*deleted;
+    delete p;
+  });
+}
+
 TEST(EventPool, SlotsAreRecycledAcrossPushPopCycles) {
   EventQueue q;
   int fired = 0;
@@ -20,9 +43,7 @@ TEST(EventPool, SlotsAreRecycledAcrossPushPopCycles) {
   for (int i = 0; i < 1000; ++i) {
     q.Push(i, [&fired] { ++fired; });
     ASSERT_EQ(q.RawSize(), 1u);
-    auto [when, fn] = q.Pop();
-    EXPECT_EQ(when, i);
-    fn();
+    EXPECT_EQ(FireNext(q), i);
   }
   EXPECT_EQ(fired, 1000);
   EXPECT_EQ(q.pushed(), 1000u);
@@ -35,8 +56,7 @@ TEST(EventPool, StaleHandleCannotCancelRecycledSlot) {
   EventHandle first = q.Push(10, [&first_ran] { first_ran = true; });
 
   // Fire the first event; its slot is released.
-  auto [w1, f1] = q.Pop();
-  f1();
+  FireNext(q);
   EXPECT_TRUE(first_ran);
   EXPECT_FALSE(first.pending());
 
@@ -45,16 +65,14 @@ TEST(EventPool, StaleHandleCannotCancelRecycledSlot) {
   q.Push(20, [&second_ran] { second_ran = true; });
   EXPECT_FALSE(first.Cancel());
   ASSERT_FALSE(q.Empty());
-  auto [w2, f2] = q.Pop();
-  f2();
+  FireNext(q);
   EXPECT_TRUE(second_ran);
 }
 
 TEST(EventPool, CancelAfterFireIsSafeAndReturnsFalse) {
   EventQueue q;
   EventHandle h = q.Push(5, [] {});
-  auto [when, fn] = q.Pop();
-  fn();
+  FireNext(q);
   EXPECT_FALSE(h.pending());
   EXPECT_FALSE(h.Cancel());
   EXPECT_FALSE(h.Cancel());  // idempotent
@@ -122,10 +140,8 @@ TEST(EventPool, EagerCompactionBoundsCancelledBacklog) {
   EXPECT_LE(q.RawSize(), 2u + 1u);  // backlog gone (not just hidden)
 
   // Pop order is unaffected: blocker at t=0, then the survivor at t=5000.
-  auto [w1, f1] = q.Pop();
-  EXPECT_EQ(w1, 0);
-  auto [w2, f2] = q.Pop();
-  EXPECT_EQ(w2, 5000);
+  EXPECT_EQ(FireNext(q), 0);
+  EXPECT_EQ(FireNext(q), 5000);
   EXPECT_TRUE(q.Empty());
 }
 
@@ -146,8 +162,7 @@ TEST(EventPool, CompactionPreservesFifoTieBreak) {
   }
   q.Push(20, [] {});  // triggers compaction (200 cancelled > 301/2)
   while (!q.Empty()) {
-    auto [when, fn] = q.Pop();
-    fn();
+    FireNext(q);
   }
   ASSERT_EQ(order.size(), 100u);
   for (int i = 0; i < 100; ++i) {
@@ -163,8 +178,7 @@ TEST(EventPool, ReserveAvoidsRegrowth) {
   }
   EXPECT_EQ(q.RawSize(), 64u);
   while (!q.Empty()) {
-    auto [when, fn] = q.Pop();
-    fn();
+    FireNext(q);
   }
 }
 
@@ -177,6 +191,118 @@ TEST(EventPool, SimulationCancellationStillWorksEndToEnd) {
   sim.Run();
   EXPECT_EQ(fired, 1);
   EXPECT_FALSE(keep.pending());
+}
+
+TEST(EventPool, CallbackRunsInPlaceWhileItGrowsThePoolPastAChunk) {
+  EventQueue q;
+  // Bytes that fill the whole inline buffer, so a relocated or freed slot
+  // shows up as a changed sum (and as a use-after-free under ASan).
+  struct Capture {
+    EventQueue* q;
+    int* fired;
+    uint64_t* sum;
+    std::array<uint32_t, 6> words;
+  };
+  static_assert(sizeof(Capture) == InlineCallback::kCapacity);
+  int fired = 0;
+  uint64_t sum_after = 0;
+  Capture c{&q, &fired, &sum_after, {1, 2, 3, 4, 5, 6}};
+  q.Push(0, [c] {
+    // More than one chunk's worth: the pool allocates new chunks while this
+    // callback is still running in its own slot.
+    for (uint32_t i = 0; i < 2 * EventSlotPool::kChunkSlots + 1; ++i) {
+      c.q->Push(1, [f = c.fired] { ++*f; });
+    }
+    for (uint32_t w : c.words) {
+      *c.sum += w;
+    }
+  });
+  FireNext(q);
+  EXPECT_EQ(sum_after, 21u);
+  while (!q.Empty()) {
+    FireNext(q);
+  }
+  EXPECT_EQ(fired, static_cast<int>(2 * EventSlotPool::kChunkSlots + 1));
+}
+
+TEST(EventPool, FiringEventsOwnHandleReadsAsFiredInsideItsCallback) {
+  EventQueue q;
+  EventHandle self;
+  bool pending_inside = true;
+  bool cancel_inside = true;
+  self = q.Push(5, [&] {
+    pending_inside = self.pending();
+    cancel_inside = self.Cancel();
+  });
+  EXPECT_TRUE(self.pending());
+  FireNext(q);
+  EXPECT_FALSE(pending_inside);
+  EXPECT_FALSE(cancel_inside);
+  EXPECT_FALSE(self.pending());
+  EXPECT_EQ(q.LiveSize(), 0u);  // the in-callback Cancel() left no backlog
+  EXPECT_EQ(q.RawSize(), 0u);
+}
+
+TEST(EventPool, SharedCaptureIsReleasedExactlyOnceWhenItFires) {
+  int deleted = 0;
+  EventQueue q;
+  {
+    std::shared_ptr<int> p = Tracked(&deleted);
+    q.Push(5, [p] { EXPECT_EQ(*p, 7); });
+  }
+  EXPECT_EQ(deleted, 0);  // the queued callback still owns it
+  FireNext(q);
+  EXPECT_EQ(deleted, 1);
+  q.Push(6, [] {});  // recycles the slot: nothing left to release
+  FireNext(q);
+  EXPECT_EQ(deleted, 1);
+}
+
+TEST(EventPool, SharedCaptureIsReleasedExactlyOnceByClear) {
+  int deleted = 0;
+  EventQueue q;
+  q.Push(5, [p = Tracked(&deleted)] { FAIL() << "cleared event fired"; });
+  q.Push(6, [p = Tracked(&deleted)] { FAIL() << "cleared event fired"; });
+  q.Clear();
+  EXPECT_EQ(deleted, 2);
+  EXPECT_TRUE(q.Empty());
+  EXPECT_EQ(deleted, 2);
+}
+
+TEST(EventPool, SharedCaptureIsReleasedExactlyOnceByCancelAndCompaction) {
+  int deleted = 0;
+  EventQueue q;
+  q.Push(0, [] {});  // blocker so lazy discard can't help
+  std::vector<EventHandle> doomed;
+  for (int i = 0; i < 100; ++i) {
+    doomed.push_back(q.Push(10 + i, [p = Tracked(&deleted)] { FAIL() << "cancelled"; }));
+  }
+  for (EventHandle& h : doomed) {
+    EXPECT_TRUE(h.Cancel());
+  }
+  EXPECT_EQ(deleted, 0);  // cancelled, not yet discarded
+  q.Push(1000, [] {});    // compacts: 100 cancelled > 101/2
+  EXPECT_LE(q.RawSize(), 2u);
+  EXPECT_EQ(deleted, 100);
+  while (!q.Empty()) {
+    FireNext(q);
+  }
+  EXPECT_EQ(deleted, 100);
+}
+
+TEST(EventPool, TrivialCaptureSurvivesMoves) {
+  int hits = 0;
+  int* target = &hits;
+  int step = 3;
+  InlineCallback a([target, step] { *target += step; });
+  InlineCallback b(std::move(a));
+  EXPECT_FALSE(a);  // NOLINT(bugprone-use-after-move): moved-from is empty
+  InlineCallback c;
+  c = std::move(b);
+  EXPECT_FALSE(b);  // NOLINT(bugprone-use-after-move)
+  ASSERT_TRUE(c);
+  c();
+  EXPECT_EQ(hits, 3);
 }
 
 }  // namespace

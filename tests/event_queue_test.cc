@@ -2,10 +2,20 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <vector>
 
 namespace newtos {
 namespace {
+
+constexpr SimTime kForever = std::numeric_limits<SimTime>::max();
+
+// Runs the earliest live event in place and returns its time.
+SimTime FireNext(EventQueue& q) {
+  SimTime when = -1;
+  EXPECT_TRUE(q.RunNext(kForever, [&when](SimTime w) { when = w; }));
+  return when;
+}
 
 TEST(EventQueue, PopsInTimeOrder) {
   EventQueue q;
@@ -14,7 +24,7 @@ TEST(EventQueue, PopsInTimeOrder) {
   q.Push(10, [&] { order.push_back(1); });
   q.Push(20, [&] { order.push_back(2); });
   while (!q.Empty()) {
-    q.Pop().second();
+    FireNext(q);
   }
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
 }
@@ -26,7 +36,7 @@ TEST(EventQueue, FifoTieBreakAtSameInstant) {
     q.Push(42, [&order, i] { order.push_back(i); });
   }
   while (!q.Empty()) {
-    q.Pop().second();
+    FireNext(q);
   }
   for (int i = 0; i < 10; ++i) {
     EXPECT_EQ(order[static_cast<size_t>(i)], i);
@@ -52,7 +62,7 @@ TEST(EventQueue, CancelledEventsAreSkippedNotReturned) {
   q.Push(20, [&] { ++fired; });
   h1.Cancel();
   EXPECT_EQ(q.NextTime(), 20);
-  q.Pop().second();
+  FireNext(q);
   EXPECT_TRUE(q.Empty());
   EXPECT_EQ(fired, 1);
 }
@@ -61,7 +71,7 @@ TEST(EventQueue, HandleReportsFiredState) {
   EventQueue q;
   EventHandle h = q.Push(5, [] {});
   EXPECT_TRUE(h.pending());
-  q.Pop().second();
+  FireNext(q);
   EXPECT_FALSE(h.pending());
   EXPECT_FALSE(h.Cancel());  // cannot cancel after firing
 }
@@ -79,6 +89,21 @@ TEST(EventQueue, NextTimeReflectsEarliestLiveEvent) {
   EXPECT_EQ(q.NextTime(), 50);
   early.Cancel();
   EXPECT_EQ(q.NextTime(), 100);
+}
+
+TEST(EventQueue, RunNextStopsAtTheBoundary) {
+  EventQueue q;
+  int fired = 0;
+  q.Push(10, [&] { ++fired; });
+  q.Push(20, [&] { ++fired; });
+  auto ignore = [](SimTime) {};
+  EXPECT_TRUE(q.RunNext(10, ignore));  // due exactly at the boundary
+  EXPECT_FALSE(q.RunNext(19, ignore));
+  EXPECT_EQ(fired, 1);
+  EXPECT_EQ(q.LiveSize(), 1u);
+  EXPECT_EQ(FireNext(q), 20);
+  EXPECT_FALSE(q.RunNext(kForever, ignore));  // empty
+  EXPECT_EQ(fired, 2);
 }
 
 TEST(EventQueue, PushedCountsEverything) {
@@ -101,7 +126,7 @@ TEST(EventQueue, StressManyEventsStayOrdered) {
   }
   SimTime prev = -1;
   while (!q.Empty()) {
-    auto [t, fn] = q.Pop();
+    const SimTime t = FireNext(q);
     EXPECT_GE(t, prev);
     prev = t;
   }

@@ -4,9 +4,13 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "src/hw/cpu.h"
+#include "src/sim/ring_deque.h"
 #include "src/sim/simulation.h"
 
 namespace newtos {
@@ -42,6 +46,63 @@ class RecordingServer : public Server {
   Chan* in_b_ = nullptr;
   Chan* out_ = nullptr;
 };
+
+// One channel source plus one internal-queue source (the shape of the TCP
+// and UDP servers' pending_tx_/pending_evt_ sources).
+class MixedSourceServer : public Server {
+ public:
+  explicit MixedSourceServer(Simulation* sim) : Server(sim, "mixed") {
+    in_ = CreateInput("in", 16);
+    AddWorkSource(WorkSource{
+        .has_work = [this] { return !queue_.empty(); },
+        .take =
+            [this] {
+              Msg m = std::move(queue_.front());
+              queue_.pop_front();
+              return m;
+            },
+    });
+  }
+
+  Chan* in() { return in_; }
+  void Enqueue(Msg m) {
+    queue_.push_back(std::move(m));
+    MaybeSchedule();
+  }
+
+  std::vector<uint64_t> handled;
+
+ protected:
+  Cycles CostFor(const Msg&) override { return 100; }
+  void Handle(const Msg& msg) override { handled.push_back(msg.value); }
+
+ private:
+  Chan* in_ = nullptr;
+  RingDeque<Msg> queue_;
+};
+
+// The sources' own captures are what WorkFn accepts; anything bigger or
+// owning is rejected (tests/compile_fail/work_fn.cc proves the static_assert).
+struct TwoPointers {
+  void* a;
+  void* b;
+  bool operator()() const { return a != b; }
+};
+struct ThreePointers {
+  void* a;
+  void* b;
+  void* c;
+  bool operator()() const { return a != nullptr; }
+};
+struct OwnsAString {
+  std::string s;
+  bool operator()() const { return s.empty(); }
+};
+static_assert(WorkFn<bool>::kFits<Server*>);
+static_assert(WorkFn<bool>::kFits<TwoPointers>);
+static_assert(!WorkFn<bool>::kFits<ThreePointers>);
+static_assert(!WorkFn<bool>::kFits<OwnsAString>);
+static_assert(std::is_trivially_copyable_v<Server::WorkSource>);
 
 Msg V(uint64_t v) {
   Msg m;
@@ -83,6 +144,20 @@ TEST_F(ServerTest, RoundRobinAcrossInputsWithBatchLimitOne) {
   ASSERT_EQ(s.handled.size(), 6u);
   // Strict alternation between the two sources.
   EXPECT_EQ(s.handled, (std::vector<uint64_t>{10, 20, 11, 21, 12, 22}));
+}
+
+TEST_F(ServerTest, ChannelAndQueueSourcesKeepRoundRobinOrder) {
+  MixedSourceServer s(&sim_);
+  s.BindCore(&core_);
+  s.set_source_batch_limit(1);
+  for (int i = 0; i < 3; ++i) {
+    s.in()->Push(V(10 + i));
+    s.Enqueue(V(20 + i));
+  }
+  sim_.Run();
+  // The channel registered first, so it leads; then strict alternation.
+  EXPECT_EQ(s.handled, (std::vector<uint64_t>{10, 20, 11, 21, 12, 22}));
+  EXPECT_TRUE(s.Idle());
 }
 
 TEST_F(ServerTest, BurstSchedulingDrainsOneSourceFirst) {

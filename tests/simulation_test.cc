@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <functional>
 #include <vector>
+
+#include "src/hw/cpu.h"
+#include "src/hw/power.h"
 
 namespace newtos {
 namespace {
@@ -110,6 +115,72 @@ TEST(Simulation, SameInstantEventsRunInScheduleOrder) {
   }
   sim.Run();
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
+}
+
+TEST(Simulation, EventsProcessedAndClockAreSetBeforeTheCallbackRuns) {
+  Simulation sim;
+  uint64_t seen_count = 0;
+  SimTime seen_now = -1;
+  sim.Schedule(30, [&] {
+    seen_count = sim.events_processed();
+    seen_now = sim.Now();
+  });
+  sim.Run();
+  EXPECT_EQ(seen_count, 1u);
+  EXPECT_EQ(seen_now, 30);
+}
+
+TEST(Simulation, CallbackReadsItsCapturesAfterSchedulingManyChunksOfEvents) {
+  Simulation sim;
+  const uint32_t n = 3 * EventSlotPool::kChunkSlots;
+  uint64_t fired = 0;
+  uint64_t tag_after = 0;
+  const uint64_t tag = 0x5eed5eed5eedULL;
+  sim.Schedule(1, [&sim, &fired, &tag_after, tag, n] {
+    for (uint32_t i = 0; i < n; ++i) {
+      sim.Schedule(i, [&fired] { ++fired; });
+    }
+    tag_after = tag;  // read after the pool grew under this running callback
+  });
+  sim.Run();
+  EXPECT_EQ(tag_after, tag);
+  EXPECT_EQ(fired, n);
+}
+
+TEST(Simulation, FiringEventCannotCancelOrSeeItselfPending) {
+  Simulation sim;
+  EventHandle self;
+  bool pending_inside = true;
+  bool cancel_inside = true;
+  int fired = 0;
+  self = sim.Schedule(10, [&] {
+    ++fired;
+    pending_inside = self.pending();
+    cancel_inside = self.Cancel();
+  });
+  sim.Run();
+  EXPECT_EQ(fired, 1);
+  EXPECT_FALSE(pending_inside);
+  EXPECT_FALSE(cancel_inside);
+  EXPECT_EQ(sim.PendingEvents(), 0u);
+}
+
+TEST(Simulation, TrivialCapturesSurviveTheCoreCompletionRing) {
+  Simulation sim;
+  PowerModel pm;
+  Core core(&sim, 0, "cpu0", BigCoreOperatingPoints(), &pm);
+  // More work items than the completion ring's initial capacity, so the
+  // queued callbacks are relocated when it regrows. Each capture is
+  // trivially copyable ({pointer, value}): it moves by memcpy.
+  std::vector<int> order;
+  for (int i = 0; i < 100; ++i) {
+    core.Execute(1000, [&order, i] { order.push_back(i); });
+  }
+  sim.Run();
+  ASSERT_EQ(order.size(), 100u);
+  for (int i = 0; i < 100; ++i) {
+    EXPECT_EQ(order[static_cast<size_t>(i)], i);
+  }
 }
 
 }  // namespace
