@@ -2,8 +2,6 @@
 
 #include <cstdio>
 #include <filesystem>
-#include <fstream>
-#include <iterator>
 
 namespace newtos {
 
@@ -106,53 +104,6 @@ bool WriteBenchCsv(const Table& t, const char* argv0, const std::string& name) {
     return false;
   }
   return true;
-}
-
-std::string ReadJsonSection(const std::string& path, const std::string& key) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    return "";
-  }
-  std::string text((std::istreambuf_iterator<char>(in)), std::istreambuf_iterator<char>());
-  const std::string needle = "\"" + key + "\":";
-  size_t pos = text.find(needle);
-  if (pos == std::string::npos) {
-    return "";
-  }
-  pos += needle.size();
-  while (pos < text.size() && (text[pos] == ' ' || text[pos] == '\n')) {
-    ++pos;
-  }
-  if (pos >= text.size() || (text[pos] != '{' && text[pos] != '[')) {
-    return "";
-  }
-  // Bracket-match to the end of the value. JsonWriter never emits brackets
-  // inside strings in these reports, but skip quoted spans anyway.
-  const char open = text[pos];
-  const char close = open == '{' ? '}' : ']';
-  int depth = 0;
-  bool in_string = false;
-  for (size_t i = pos; i < text.size(); ++i) {
-    const char c = text[i];
-    if (in_string) {
-      if (c == '\\') {
-        ++i;
-      } else if (c == '"') {
-        in_string = false;
-      }
-      continue;
-    }
-    if (c == '"') {
-      in_string = true;
-    } else if (c == open) {
-      ++depth;
-    } else if (c == close) {
-      if (--depth == 0) {
-        return text.substr(pos, i - pos + 1);
-      }
-    }
-  }
-  return "";
 }
 
 }  // namespace newtos

@@ -66,13 +66,6 @@ std::string CsvPath(const char* argv0, const std::string& name);
 // can propagate it as an exit code.
 bool WriteBenchCsv(const Table& t, const char* argv0, const std::string& name);
 
-// Extracts the raw JSON value of top-level `key` from the report file at
-// `path` ("{...}" or "[...]"), or "" if the file or key is absent. Lets two
-// binaries fold their sections into one report (tab5_conn_churn --million
-// owns "million"/"knee" in BENCH_timers.json, timer_micro owns "micro") —
-// each rewrites the file, preserving the sections it does not own.
-std::string ReadJsonSection(const std::string& path, const std::string& key);
-
 }  // namespace newtos
 
 #endif  // BENCH_COMMON_H_

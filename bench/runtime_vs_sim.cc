@@ -2,217 +2,35 @@
 //
 // DES mode is the simulator (src/sim + src/os): modeled time, one thread,
 // the Testbed the figure benches use. Live mode is src/runtime: each server
-// role on a real OS thread over ThreadChannels, wall-clock time. The two
-// must produce byte-identical application streams (equal FNV digests) — the
-// `--check` mode asserts exactly that and is wired into ctest as the
-// digest-equivalence gate — while their *timing* is expected to differ and
-// is what this bench reports:
+// role on a real OS thread over ThreadChannels, wall-clock time.
 //
-//   - wall seconds + throughput for each backend,
-//   - per-message latency: the live stack's end-to-end app-push -> peer-pop
-//     histogram (P50/P95/P99) next to the DES peer's simulated
-//     inter-delivery gap (the model's per-message service interval — a
-//     different view of per-message timing, labeled distinctly),
-//   - a pinned-core sweep 1..host_cpus: with k cores the first k server
-//     roles are pinned and the rest float (never aliased onto a taken
-//     core), so the sweep shows what dedicating cores buys on this host,
-//   - the SpscRing two-thread throughput, measured against an in-bench
-//     replica of the pre-audit cursor layout (producer and consumer indices
-//     packed into one cache line) — the before/after number for the
-//     false-sharing fix, measured in the same binary with the same harness.
+//   runtime_vs_sim --check [--bytes N]
+//     The digest-equivalence gate: the two backends must deliver
+//     byte-identical application streams (equal FNV digests, chunk counts
+//     and byte totals) in the full and mini live topologies, with zero
+//     channel-protocol violations.
+//   runtime_vs_sim --trace [--bytes N] [--trace-out PATH]
+//     One traced live run, written as a merged Perfetto trace
+//     (default trace_live_fig2.json).
 //
-// host_cpus is recorded honestly (like BENCH_fabric.json): on a 1-core CI
-// container the live stack timeslices six threads on one core and the
-// before/after ring numbers sit within noise — cross-core effects need
-// cross-core hardware. The JSON keeps the honest host count next to every
-// wall number so readers can judge.
-//
-// Writes BENCH_runtime.json at the repo root.
+// Exit codes: 0 ok, 1 gate or write failure, 2 usage. Live-stack speed
+// (goodput, per-message latency, ring throughput) is measured by
+// perfbench's live_rtt workload, not here.
 
-#include <algorithm>
-#include <atomic>
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
-#include <new>
-#include <optional>
+#include <fstream>
 #include <string>
-#include <thread>
-#include <type_traits>
 #include <vector>
 
-#include <fstream>
-
-#include "src/chan/spsc_ring.h"
-#include "src/host/affinity.h"
-#include "src/metrics/histogram.h"
-#include "src/metrics/report.h"
-#include "src/runtime/clock.h"
 #include "src/runtime/fig2_ref.h"
 #include "src/runtime/live_stack.h"
-#include "src/sim/time.h"
 #include "src/trace/chrome_trace.h"
 
 namespace newtos {
 namespace {
-
-#ifndef NEWTOS_REPO_ROOT
-#define NEWTOS_REPO_ROOT "."
-#endif
-
-// --- Ring layout before/after -----------------------------------------------
-//
-// Two replicas of the SpscRing fast path that differ ONLY in cursor layout —
-// the audit's before/after isolated from every other variable (the shipped
-// SpscRing also carries NEWTOS_CHECKERS identity tokens in default builds,
-// so it is measured separately rather than passed off as "after"):
-//
-//   packed   the pre-audit layout: head, cached_tail, tail, cached_head
-//            contiguous in one cache line, so every release-store by one
-//            side invalidates the line the other side's fast path reads
-//   aligned  the shipped layout: each side's cursors grouped into its own
-//            cache-line-aligned struct (what spsc_ring.h static_asserts)
-
-template <bool kAligned>
-class LayoutRing {
- public:
-  explicit LayoutRing(size_t capacity) : mask_(capacity - 1), slots_(capacity) {}
-
-  bool TryPush(uint64_t v) {
-    const size_t head = prod_.head.load(std::memory_order_relaxed);
-    if (head - prod_.cached_tail == slots_.size()) {
-      prod_.cached_tail = cons_.tail.load(std::memory_order_acquire);
-      if (head - prod_.cached_tail == slots_.size()) {
-        return false;
-      }
-    }
-    slots_[head & mask_] = v;
-    prod_.head.store(head + 1, std::memory_order_release);
-    return true;
-  }
-
-  std::optional<uint64_t> TryPop() {
-    const size_t tail = cons_.tail.load(std::memory_order_relaxed);
-    if (tail == cons_.cached_head) {
-      cons_.cached_head = prod_.head.load(std::memory_order_acquire);
-      if (tail == cons_.cached_head) {
-        return std::nullopt;
-      }
-    }
-    uint64_t v = slots_[tail & mask_];
-    cons_.tail.store(tail + 1, std::memory_order_release);
-    return v;
-  }
-
- private:
-  struct Producer {
-    std::atomic<size_t> head{0};
-    size_t cached_tail = 0;
-  };
-  struct Consumer {
-    std::atomic<size_t> tail{0};
-    size_t cached_head = 0;
-  };
-  struct PackedCursors {
-    Producer prod;
-    Consumer cons;
-  };
-  struct AlignedCursors {
-    alignas(kCacheLineBytes) Producer prod;
-    alignas(kCacheLineBytes) Consumer cons;
-  };
-  using Cursors = std::conditional_t<kAligned, AlignedCursors, PackedCursors>;
-
-  Cursors cursors_;
-  Producer& prod_ = cursors_.prod;
-  Consumer& cons_ = cursors_.cons;
-  const size_t mask_;
-  std::vector<uint64_t> slots_;
-};
-
-template <typename Ring>
-double MeasureRingThroughput(uint64_t messages) {
-  Ring ring(1024);
-  const uint64_t t0 = MonotonicNowNs();
-  // Yield on full/empty: a no-op when both sides have their own core, but on
-  // an oversubscribed host it hands the CPU over instead of burning the rest
-  // of the timeslice spinning against a peer that cannot run.
-  std::thread producer([&ring, messages] {
-    for (uint64_t i = 0; i < messages; ++i) {
-      while (!ring.TryPush(i)) {
-        std::this_thread::yield();
-      }
-    }
-  });
-  uint64_t received = 0;
-  while (received < messages) {
-    if (ring.TryPop()) {
-      ++received;
-    } else {
-      std::this_thread::yield();
-    }
-  }
-  producer.join();
-  const double secs = static_cast<double>(MonotonicNowNs() - t0) * 1e-9;
-  return static_cast<double>(messages) / secs;
-}
-
-// --- fig2 in both backends --------------------------------------------------
-
-struct LivePoint {
-  int cores = 0;     // pin budget for this sweep point
-  int pinned = 0;    // threads that actually got a core
-  double wall_seconds = 0.0;
-  uint64_t parks = 0;
-  LatencyHistogram latency;
-};
-
-LivePoint MeasureLive(uint64_t bytes, int cores, int reps, uint64_t* digest) {
-  LivePoint best;
-  best.cores = cores;
-  for (int rep = 0; rep < reps; ++rep) {
-    LiveStackConfig cfg;
-    cfg.transfer_bytes = bytes;
-    cfg.pin_cpu_limit = cores;
-    const LiveStackResult r = RunLiveFig2(cfg);
-    if (!r.completed) {
-      std::fprintf(stderr, "runtime_vs_sim: live run (%d cores) hit the deadline\n", cores);
-      continue;
-    }
-    *digest = r.digest;
-    if (best.wall_seconds == 0.0 || r.wall_seconds < best.wall_seconds) {
-      best.wall_seconds = r.wall_seconds;
-      best.latency = r.latency;
-      best.parks = 0;
-      best.pinned = 0;
-      for (const ThreadStats& t : r.threads) {
-        best.parks += t.parks;
-        best.pinned += t.pinned ? 1 : 0;
-      }
-    }
-  }
-  return best;
-}
-
-std::string LiveSweepJson(const std::vector<LivePoint>& sweep, uint64_t bytes) {
-  std::string json = "[";
-  char buf[256];
-  for (size_t i = 0; i < sweep.size(); ++i) {
-    const LivePoint& p = sweep[i];
-    std::snprintf(buf, sizeof(buf),
-                  "%s{\"cores\": %d, \"threads_pinned\": %d, \"wall_seconds\": %.6f, "
-                  "\"mbytes_per_sec\": %.1f, \"latency_p50_us\": %.2f, "
-                  "\"latency_p95_us\": %.2f, \"latency_p99_us\": %.2f, \"parks\": %llu}",
-                  i == 0 ? "" : ", ", p.cores, p.pinned, p.wall_seconds,
-                  static_cast<double>(bytes) / p.wall_seconds / 1e6,
-                  ToSeconds(p.latency.P50()) * 1e6, ToSeconds(p.latency.P95()) * 1e6,
-                  ToSeconds(p.latency.P99()) * 1e6,
-                  static_cast<unsigned long long>(p.parks));
-    json += buf;
-  }
-  json += "]";
-  return json;
-}
 
 // --check: the CI digest-equivalence gate. One DES run (validated loss-free
 // via the retransmit tripwire) against one live run of each topology; any
@@ -288,12 +106,15 @@ int RunTrace(uint64_t bytes, const std::string& path) {
   return 0;
 }
 
+int Usage(const char* argv0) {
+  std::fprintf(stderr, "usage: %s --check | --trace [--bytes N] [--trace-out PATH]\n", argv0);
+  return 2;
+}
+
 int Run(int argc, char** argv) {
   uint64_t bytes = 1 << 20;
-  int reps = 3;
   bool check = false;
   bool trace = false;
-  std::string out = std::string(NEWTOS_REPO_ROOT) + "/BENCH_runtime.json";
   std::string trace_out = "trace_live_fig2.json";
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--check") == 0) {
@@ -302,18 +123,10 @@ int Run(int argc, char** argv) {
       trace = true;
     } else if (std::strcmp(argv[i], "--bytes") == 0 && i + 1 < argc) {
       bytes = std::strtoull(argv[++i], nullptr, 10);
-    } else if (std::strcmp(argv[i], "--reps") == 0 && i + 1 < argc) {
-      reps = std::atoi(argv[++i]);
-    } else if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
-      out = argv[++i];
     } else if (std::strcmp(argv[i], "--trace-out") == 0 && i + 1 < argc) {
       trace_out = argv[++i];
     } else {
-      std::fprintf(stderr,
-                   "usage: %s [--check] [--trace] [--bytes N] [--reps N] [--out PATH] "
-                   "[--trace-out PATH]\n",
-                   argv[0]);
-      return 2;
+      return Usage(argv[0]);
     }
   }
   if (check) {
@@ -322,96 +135,7 @@ int Run(int argc, char** argv) {
   if (trace) {
     return RunTrace(bytes, trace_out);
   }
-
-  const int host_cpus = AvailableCpuCount();
-  std::printf("runtime_vs_sim — fig2 bulk TCP, %llu bytes, best of %d, host_cpus=%d\n",
-              static_cast<unsigned long long>(bytes), reps, host_cpus);
-
-  // Ring layout before/after (replicas differing only in cursor layout),
-  // plus the shipped SpscRing as built (checkers included when enabled).
-  constexpr uint64_t kRingMsgs = 20'000'000;
-  const double ring_before = MeasureRingThroughput<LayoutRing<false>>(kRingMsgs);
-  const double ring_after = MeasureRingThroughput<LayoutRing<true>>(kRingMsgs);
-  const double ring_shipped = MeasureRingThroughput<SpscRing<uint64_t>>(kRingMsgs);
-  std::printf("  ring 2-thread: packed cursors %.1fM msgs/s, aligned %.1fM msgs/s "
-              "(%+.1f%%), shipped SpscRing %.1fM msgs/s\n",
-              ring_before / 1e6, ring_after / 1e6,
-              (ring_after - ring_before) / ring_before * 100.0, ring_shipped / 1e6);
-
-  // DES backend: wall-clock around the simulator run, plus the model's view.
-  Fig2DesResult des;
-  double des_wall = 0.0;
-  for (int rep = 0; rep < reps; ++rep) {
-    const uint64_t t0 = MonotonicNowNs();
-    Fig2DesResult r = RunFig2Des(bytes);
-    const double wall = static_cast<double>(MonotonicNowNs() - t0) * 1e-9;
-    if (!r.completed) {
-      std::fprintf(stderr, "runtime_vs_sim: DES run did not complete\n");
-      return 1;
-    }
-    if (des_wall == 0.0 || wall < des_wall) {
-      des_wall = wall;
-      des = std::move(r);
-    }
-  }
-  std::printf("  DES : %8.4f s wall (%0.4f s simulated, %llu events) — "
-              "delivery gap p50 %.2f us\n",
-              des_wall, des.sim_seconds,
-              static_cast<unsigned long long>(des.sim_events),
-              ToSeconds(des.delivery_gap.P50()) * 1e6);
-
-  // Live backend: pin budget sweep 1..host_cpus.
-  std::vector<LivePoint> sweep;
-  uint64_t live_digest = 0;
-  for (int cores = 1; cores <= host_cpus; ++cores) {
-    LivePoint p = MeasureLive(bytes, cores, reps, &live_digest);
-    if (p.wall_seconds == 0.0) {
-      return 1;
-    }
-    std::printf("  live: %8.4f s wall @ %d core%s (%d/6 pinned) — e2e p50 %.2f us "
-                "p99 %.2f us, %llu parks\n",
-                p.wall_seconds, cores, cores == 1 ? "" : "s", p.pinned,
-                ToSeconds(p.latency.P50()) * 1e6, ToSeconds(p.latency.P99()) * 1e6,
-                static_cast<unsigned long long>(p.parks));
-    sweep.push_back(std::move(p));
-  }
-  const LivePoint& top = sweep.back();
-
-  if (live_digest != des.digest) {
-    std::fprintf(stderr, "FAIL: live digest %016llx != DES digest %016llx\n",
-                 static_cast<unsigned long long>(live_digest),
-                 static_cast<unsigned long long>(des.digest));
-    return 1;
-  }
-
-  JsonWriter w;
-  w.Str("bench", "runtime_vs_sim")
-      .Str("scenario", "fig2_bulk_tcp")
-      .Int("host_cpus", host_cpus)
-      .Uint("transfer_bytes", bytes)
-      .Int("reps", reps)
-      .Bool("digests_identical", live_digest == des.digest)
-      .Uint("digest", des.digest)
-      .Uint("chunks", des.chunks)
-      .Num("des_wall_seconds", des_wall, 6)
-      .Num("des_sim_seconds", des.sim_seconds, 6)
-      .Uint("des_events", des.sim_events)
-      .Num("des_delivery_gap_p50_us", ToSeconds(des.delivery_gap.P50()) * 1e6, 2)
-      .Num("des_delivery_gap_p99_us", ToSeconds(des.delivery_gap.P99()) * 1e6, 2)
-      .Raw("live_sweep", LiveSweepJson(sweep, bytes))
-      .Num("live_wall_seconds_top", top.wall_seconds, 6)
-      .Num("live_latency_p50_us_top", ToSeconds(top.latency.P50()) * 1e6, 2)
-      .Num("live_latency_p99_us_top", ToSeconds(top.latency.P99()) * 1e6, 2)
-      .Num("ring_packed_msgs_per_sec", ring_before, 0)
-      .Num("ring_aligned_msgs_per_sec", ring_after, 0)
-      .Num("ring_aligned_gain_pct", (ring_after - ring_before) / ring_before * 100.0, 2)
-      .Num("ring_shipped_msgs_per_sec", ring_shipped, 0);
-  if (!WriteFileChecked(out, w.Finish())) {
-    std::fprintf(stderr, "runtime_vs_sim: cannot write %s\n", out.c_str());
-    return 1;
-  }
-  std::printf("wrote %s\n", out.c_str());
-  return 0;
+  return Usage(argv[0]);
 }
 
 }  // namespace

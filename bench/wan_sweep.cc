@@ -11,29 +11,24 @@
 //                the ring wraps)
 //   retransmits / link_loss_drops  the TCP cost of the configured loss
 //
-// Results land in BENCH_scenario.json at the repo root. host_cpus is
-// recorded honestly so a number produced on a loaded 1-core CI box is never
-// mistaken for a workstation run. Wall-clock insensitive in its metrics (all
-// simulated time), but a full grid takes tens of seconds — run manually, not
-// from ctest.
+// Every value is simulated, so the table is deterministic; it is printed and
+// written to results/wan_sweep.csv next to the binary like every fig/tab
+// bench. A full grid takes tens of seconds, so it is not a ctest entry
+// (--quick runs a 4-cell smoke grid into the same file).
 
 #include <cstdio>
 #include <cstring>
+#include <iostream>
 #include <string>
 #include <vector>
 
-#include "src/host/affinity.h"
-#include "src/metrics/report.h"
+#include "bench/common.h"
 #include "src/scenario/parser.h"
 #include "src/scenario/runner.h"
 #include "src/trace/latency_decomp.h"
 
 namespace newtos::scenario {
 namespace {
-
-#ifndef NEWTOS_REPO_ROOT
-#define NEWTOS_REPO_ROOT "."
-#endif
 
 struct Cell {
   double loss = 0.0;
@@ -97,77 +92,35 @@ int Run(int argc, char** argv) {
   std::vector<double> losses = {0.0, 0.001, 0.01, 0.03};
   std::vector<SimTime> rtts = {10 * kMillisecond, 40 * kMillisecond, 80 * kMillisecond};
   SimTime run_for = 200 * kMillisecond;
-  std::string out = std::string(NEWTOS_REPO_ROOT) + "/BENCH_scenario.json";
-  bool quick = false;
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
-      out = argv[++i];
-    } else if (std::strcmp(argv[i], "--quick") == 0) {
-      quick = true;
+    if (std::strcmp(argv[i], "--quick") == 0) {
+      losses = {0.0, 0.01};
+      rtts = {10 * kMillisecond, 40 * kMillisecond};
+      run_for = 80 * kMillisecond;
     } else {
-      std::fprintf(stderr, "usage: %s [--quick] [--out PATH]\n", argv[0]);
+      std::fprintf(stderr, "usage: %s [--quick]\n", argv[0]);
       return 2;
     }
   }
-  if (quick) {
-    losses = {0.0, 0.01};
-    rtts = {10 * kMillisecond, 40 * kMillisecond};
-    run_for = 80 * kMillisecond;
-  }
 
-  std::printf("wan_sweep — lossy-WAN grid over the scenario DSL, %lld ms window\n",
-              static_cast<long long>(run_for / kMillisecond));
-  std::printf("  %8s %8s %12s %10s %10s %10s %12s %10s\n", "loss", "rtt_ms", "goodput_gbps",
-              "p50_us", "p95_us", "p99_us", "retransmits", "loss_drops");
-
-  std::vector<Cell> cells;
-  std::string cells_json = "[";
+  Table t({"loss", "rtt_ms", "goodput_gbps", "p50_us", "p95_us", "p99_us", "retransmits",
+           "link_loss_drops", "delivered_bytes", "latency_episodes", "integrity"});
   for (SimTime rtt : rtts) {
     for (double loss : losses) {
-      Cell c = RunCell(loss, rtt, run_for);
-      std::printf("  %8g %8lld %12.3f %10.1f %10.1f %10.1f %12llu %10llu\n", loss,
-                  static_cast<long long>(rtt / kMillisecond), GoodputGbps(c, run_for),
-                  ToSeconds(c.p50) * 1e6, ToSeconds(c.p95) * 1e6, ToSeconds(c.p99) * 1e6,
-                  static_cast<unsigned long long>(c.outcome.Counter("retransmits")),
-                  static_cast<unsigned long long>(c.outcome.Counter("link_loss_drops")));
-      JsonWriter cw;
-      cw.Num("loss", loss, 4)
-          .Int("rtt_ms", rtt / kMillisecond)
-          .Num("goodput_gbps", GoodputGbps(c, run_for), 3)
-          .Num("p50_us", ToSeconds(c.p50) * 1e6, 1)
-          .Num("p95_us", ToSeconds(c.p95) * 1e6, 1)
-          .Num("p99_us", ToSeconds(c.p99) * 1e6, 1)
-          .Uint("retransmits", c.outcome.Counter("retransmits"))
-          .Uint("link_loss_drops", c.outcome.Counter("link_loss_drops"))
-          .Uint("delivered_bytes", c.outcome.cell.delivered)
-          .Uint("latency_episodes", c.episodes)
-          .Bool("integrity", c.outcome.cell.integrity);
-      std::string rendered = cw.Finish();
-      while (!rendered.empty() && rendered.back() == '\n') {
-        rendered.pop_back();
-      }
-      cells_json += rendered;
-      if (cells.size() + 1 < losses.size() * rtts.size()) {
-        cells_json += ",";
-      }
-      cells.push_back(std::move(c));
+      const Cell c = RunCell(loss, rtt, run_for);
+      t.AddRow({Table::Num(loss, 4), Table::Int(rtt / kMillisecond),
+                Table::Num(GoodputGbps(c, run_for), 3), Table::Num(ToSeconds(c.p50) * 1e6, 1),
+                Table::Num(ToSeconds(c.p95) * 1e6, 1), Table::Num(ToSeconds(c.p99) * 1e6, 1),
+                Table::Int(static_cast<int64_t>(c.outcome.Counter("retransmits"))),
+                Table::Int(static_cast<int64_t>(c.outcome.Counter("link_loss_drops"))),
+                Table::Int(static_cast<int64_t>(c.outcome.cell.delivered)),
+                Table::Int(static_cast<int64_t>(c.episodes)),
+                c.outcome.cell.integrity ? "yes" : "no"});
     }
   }
-  cells_json += "]";
-
-  JsonWriter w;
-  w.Str("bench", "wan_sweep")
-      .Str("scenario", "lossy_wan_grid_via_nsc_dsl")
-      .Int("sim_window_ms", run_for / kMillisecond)
-      .Int("host_cpus", AvailableCpuCount())
-      .Bool("quick", quick)
-      .Raw("cells", cells_json);
-  if (!WriteFileChecked(out, w.Finish())) {
-    std::fprintf(stderr, "wan_sweep: cannot write %s\n", out.c_str());
-    return 1;
-  }
-  std::printf("  wrote %s (%zu cells)\n", out.c_str(), cells.size());
-  return 0;
+  t.Print(std::cout, "wan_sweep — lossy-WAN grid over the scenario DSL, " +
+                         std::to_string(run_for / kMillisecond) + " ms window");
+  return WriteBenchCsv(t, argv[0], "wan_sweep") ? 0 : 1;
 }
 
 }  // namespace

@@ -37,6 +37,21 @@ int IncastLaneOfClient(int client, int lanes) {
   return 1 + client % (lanes - 1);
 }
 
+std::string IncastLanesError(int clients, long lanes) {
+  if (lanes < 1) {
+    return "lane count must be at least 1";
+  }
+  if (lanes > kMaxIncastLanes) {
+    return "lane count " + std::to_string(lanes) + " exceeds the limit of " +
+           std::to_string(kMaxIncastLanes);
+  }
+  if (lanes > clients + 1) {
+    return "lane count " + std::to_string(lanes) + " exceeds clients + 1 = " +
+           std::to_string(clients + 1) + "; a lane past that holds no host";
+  }
+  return "";
+}
+
 // --- UdpIncastBed ---------------------------------------------------------
 
 struct UdpIncastBed::Client {

@@ -31,6 +31,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "src/core/steering.h"
@@ -87,6 +88,19 @@ int IncastClientIndex(Ipv4Addr a); // inverse of IncastClientAddr
 // 1 + (i % (lanes-1)), or lane 0 when lanes == 1. Keeping the SUT alone in
 // lane 0 gives the serial bottleneck its own thread.
 int IncastLaneOfClient(int client, int lanes);
+
+// Upper bound on lanes for any incast run. LaneEngine starts lanes - 1 OS
+// threads, so a count taken from a script or a command line is bounded here
+// before anything is built.
+inline constexpr int kMaxIncastLanes = 64;
+
+// Checks a lane count taken from outside the program, before it is narrowed
+// to int: it must be in [1, kMaxIncastLanes], and at most clients + 1, since
+// a lane past that holds no host (see IncastLaneOfClient). Returns "" when
+// the count is usable, else the reason it is not. Every entry point that
+// accepts a lane count (the .nsc parser, newtos_scenario --lanes,
+// perf_engine --lanes) calls this.
+std::string IncastLanesError(int clients, long lanes);
 
 // --- UDP incast -----------------------------------------------------------
 

@@ -2,9 +2,8 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <fstream>
 #include <sstream>
-
-#include "src/metrics/report.h"
 
 namespace newtos {
 
@@ -102,9 +101,15 @@ void Table::WriteCsv(std::ostream& out) const {
 }
 
 bool Table::WriteCsvFile(const std::string& path) const {
+  // Rendered first, then written with a checked flush, so a full disk or an
+  // unwritable path fails the caller instead of leaving a truncated file.
   std::ostringstream buf;
   WriteCsv(buf);
-  return WriteFileChecked(path, buf.str());
+  const std::string contents = buf.str();
+  std::ofstream f(path, std::ios::binary | std::ios::trunc);
+  f.write(contents.data(), static_cast<std::streamsize>(contents.size()));
+  f.flush();
+  return static_cast<bool>(f);
 }
 
 }  // namespace newtos

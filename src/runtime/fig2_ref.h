@@ -34,7 +34,7 @@ struct Fig2DesResult {
   // Simulated gap between successive chunk deliveries at the peer — the
   // model's per-message service interval. (The live backend's histogram is
   // end-to-end app-push -> peer-pop latency; the two are different views of
-  // "per-message timing" and are labeled distinctly in BENCH_runtime.json.)
+  // "per-message timing" and must not be reported under one name.)
   LatencyHistogram delivery_gap;
 };
 

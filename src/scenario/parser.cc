@@ -8,6 +8,8 @@
 #include <fstream>
 #include <sstream>
 
+#include "src/fabric/incast.h"
+
 namespace newtos::scenario {
 
 namespace {
@@ -655,6 +657,10 @@ bool ParseLine(Line& ln, Script* out, int line_no, bool* saw_scenario) {
       if (ln.Accept("lanes")) {
         if (!ln.TakeInt(&out->lanes, "lane count", hint)) {
           return false;
+        }
+        const std::string why = IncastLanesError(out->incast_clients, out->lanes);
+        if (!why.empty()) {
+          return ln.FailPrev(why, hint);
         }
       }
       return ln.Finish(hint);

@@ -227,6 +227,24 @@ TEST(ScenarioParse, TopologyErrors) {
             std::string::npos);
 }
 
+// LaneEngine starts lanes - 1 OS threads, so a script's lane count is
+// bounded at the lane token before anything is built: at most clients + 1
+// (a lane past that holds no host) and at most kMaxIncastLanes.
+TEST(ScenarioParse, IncastLaneCountIsBounded) {
+  const ParseError past_clients = FailAt("topology incast clients 4 lanes 6");
+  EXPECT_EQ(past_clients.file, "t.nsc");
+  EXPECT_EQ(past_clients.line, 2);
+  EXPECT_EQ(past_clients.col, 33);
+  EXPECT_EQ(past_clients.token, "6");
+  EXPECT_NE(past_clients.message.find("exceeds clients + 1 = 5"), std::string::npos);
+  EXPECT_NE(FailAt("topology incast clients 1000 lanes 65").message.find("limit of 64"),
+            std::string::npos);
+  EXPECT_NE(FailAt("topology incast clients 4 lanes 0").message.find("at least 1"),
+            std::string::npos);
+  EXPECT_EQ(ParseOk("topology incast clients 4 lanes 5").lanes, 5);
+  EXPECT_EQ(ParseOk("topology incast clients 1000 lanes 64").lanes, 64);
+}
+
 TEST(ScenarioParse, TcpAndLinkKnobErrors) {
   EXPECT_NE(FailAt("tcp nagle on").message.find("unknown tcp knob"), std::string::npos);
   EXPECT_NE(FailAt("tcp rto_min big").message.find("duration"), std::string::npos);

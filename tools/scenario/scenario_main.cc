@@ -11,63 +11,22 @@
 //   newtos_scenario --lanes N ...                      override incast lanes
 //   newtos_scenario --list --dir scenarios             parse + describe only
 //
-// The counting allocator mirrors bench/perf_engine.cc: global operator
-// new/delete count every allocation in this binary, and the runner's window
-// hooks sample the counter exactly at the measurement window's edges.
+// The counting allocator (tools/alloc_count) is linked into this binary:
+// the runner's window hooks sample it exactly at the measurement window's
+// edges.
 
-#include <atomic>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <iostream>
-#include <new>
 #include <string>
 #include <vector>
 
+#include "src/fabric/incast.h"
 #include "src/scenario/parser.h"
 #include "src/scenario/runner.h"
 #include "src/trace/latency_decomp.h"
-
-// --- Counting allocator hook -----------------------------------------------
-
-namespace {
-std::atomic<uint64_t> g_allocs{0};
-
-void* CountedAlloc(std::size_t size) {
-  g_allocs.fetch_add(1, std::memory_order_relaxed);
-  void* p = std::malloc(size);
-  if (p == nullptr) {
-    throw std::bad_alloc();
-  }
-  return p;
-}
-
-void* CountedAllocAligned(std::size_t size, std::size_t align) {
-  g_allocs.fetch_add(1, std::memory_order_relaxed);
-  void* p = std::aligned_alloc(align, (size + align - 1) / align * align);
-  if (p == nullptr) {
-    throw std::bad_alloc();
-  }
-  return p;
-}
-}  // namespace
-
-void* operator new(std::size_t size) { return CountedAlloc(size); }
-void* operator new[](std::size_t size) { return CountedAlloc(size); }
-void* operator new(std::size_t size, std::align_val_t align) {
-  return CountedAllocAligned(size, static_cast<std::size_t>(align));
-}
-void* operator new[](std::size_t size, std::align_val_t align) {
-  return CountedAllocAligned(size, static_cast<std::size_t>(align));
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t, std::align_val_t) noexcept { std::free(p); }
+#include "tools/alloc_count/alloc_count.h"
 
 namespace newtos::scenario {
 namespace {
@@ -108,11 +67,15 @@ int Run(int argc, char** argv) {
     } else if (std::strcmp(a, "--decomp") == 0 && i + 1 < argc) {
       args.decomp_prefix = argv[++i];
     } else if (std::strcmp(a, "--lanes") == 0 && i + 1 < argc) {
-      args.lanes = std::atoi(argv[++i]);
-      if (args.lanes < 1) {
-        std::fprintf(stderr, "--lanes must be >= 1\n");
+      const long requested = std::strtol(argv[++i], nullptr, 10);
+      // The fixed cap only; each incast script's client bound is checked
+      // once the scripts are loaded.
+      const std::string why = IncastLanesError(kMaxIncastLanes, requested);
+      if (!why.empty()) {
+        std::fprintf(stderr, "--lanes: %s\n", why.c_str());
         return 2;
       }
+      args.lanes = static_cast<int>(requested);
     } else if (std::strcmp(a, "--check") == 0) {
       args.check = true;
     } else if (std::strcmp(a, "--list") == 0) {
@@ -144,6 +107,17 @@ int Run(int argc, char** argv) {
     scripts.push_back(std::move(s));
   }
 
+  for (const Script& s : scripts) {
+    if (args.lanes == 0 || s.topology != Topology::kIncast) {
+      continue;
+    }
+    const std::string why = IncastLanesError(s.incast_clients, args.lanes);
+    if (!why.empty()) {
+      std::fprintf(stderr, "%s: --lanes: %s\n", s.path.c_str(), why.c_str());
+      return 2;
+    }
+  }
+
   if (args.list) {
     for (const Script& s : scripts) {
       std::string freqs;
@@ -167,10 +141,10 @@ int Run(int argc, char** argv) {
       uint64_t allocs_at_begin = 0;
       if (args.alloc_gate) {
         ro.on_window_begin = [&allocs_at_begin] {
-          allocs_at_begin = g_allocs.load(std::memory_order_relaxed);
+          allocs_at_begin = AllocCount();
         };
         ro.on_window_end = [&allocs_at_begin, &window_allocs] {
-          window_allocs = g_allocs.load(std::memory_order_relaxed) - allocs_at_begin;
+          window_allocs = AllocCount() - allocs_at_begin;
         };
       }
       LatencyDecomposer decomp;
