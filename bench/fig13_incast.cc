@@ -20,10 +20,11 @@
 // dominated by egress queueing at base clock and by recovery (retransmits)
 // when the stack is slow.
 //
-// Multi-lane note: --lanes N runs the same simulation partitioned across
-// worker threads; results are bit-identical for any lane count (the
-// lane_test equivalence suite pins this, including a golden for the small-N
-// row this bench emits).
+// Multi-lane note: --lanes N (1..33, exit 2 otherwise) runs the same
+// simulation partitioned across worker threads; results are bit-identical
+// for any lane count. The fig13_golden ctest pins this for the whole figure:
+// a 4-lane run must reproduce tests/golden/fig13_incast.csv, which a 1-lane
+// run wrote.
 
 #include <cstdlib>
 #include <cstring>
@@ -80,7 +81,7 @@ Fig13Row Measure(int n_clients, FreqKhz system_freq, int lanes) {
   return row;
 }
 
-void Run(const char* argv0, int lanes) {
+bool Run(const char* argv0, int lanes) {
   Table t({"clients", "sys_ghz", "goodput_gbps", "rtt_p50_us", "rtt_p99_us", "retransmits",
            "egress_drops"});
   for (int n : {2, 4, 8, 12, 16, 24, 32}) {
@@ -95,23 +96,28 @@ void Run(const char* argv0, int lanes) {
   }
   t.Print(std::cout, "Fig.13 — N-to-1 incast through the switch fabric (" +
                          std::to_string(lanes) + " lane" + (lanes == 1 ? "" : "s") + ")");
-  WriteBenchCsv(t, argv0, "fig13_incast");
+  return WriteBenchCsv(t, argv0, "fig13_incast");
 }
 
 }  // namespace
 }  // namespace newtos
 
 int main(int argc, char** argv) {
-  int lanes = 1;
+  long lanes = 1;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--lanes") == 0 && i + 1 < argc) {
-      lanes = std::atoi(argv[++i]);
+      lanes = std::strtol(argv[++i], nullptr, 10);
+    } else {
+      std::cerr << "usage: " << argv[0] << " [--lanes N]\n";
+      return 2;
     }
   }
-  if (lanes < 1) {
-    std::cerr << "--lanes must be >= 1\n";
-    return 1;
+  // Every row builds a LaneEngine with lanes - 1 threads, so the count is
+  // bounded (for the largest row, 32 clients) before any bed is built.
+  const std::string why = newtos::IncastLanesError(32, lanes);
+  if (!why.empty()) {
+    std::cerr << "--lanes: " << why << "\n";
+    return 2;
   }
-  newtos::Run(argv[0], lanes);
-  return 0;
+  return newtos::Run(argv[0], static_cast<int>(lanes)) ? 0 : 1;
 }

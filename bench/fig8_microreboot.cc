@@ -47,22 +47,15 @@ CrashOutcome CrashServer(const std::string& which, FreqKhz stack_freq, bool chec
   tb.sim().RunFor(200 * kMillisecond);
   out.steady_gbps = sink.window().GbitsPerSec(tb.sim().Now());
 
-  Server* victim = nullptr;
-  Cycles reboot = 0;
-  const StackConfig& cfg = tb.stack()->config();
+  Server* victim = tb.stack()->tcp();
   if (which == "driver") {
     victim = tb.stack()->driver();
-    reboot = cfg.driver.restart_cycles;
   } else if (which == "ip") {
     victim = tb.stack()->ip();
-    reboot = cfg.ip.restart_cycles;
-  } else {
-    victim = tb.stack()->tcp();
-    reboot = cfg.tcp.restart_cycles;
   }
 
   MicrorebootManager mgr(&tb.sim());
-  mgr.InjectCrash(victim, tb.sim().Now() + 10 * kMillisecond, reboot);
+  mgr.InjectCrash(victim, tb.sim().Now() + 10 * kMillisecond, tb.stack()->RestartCycles(victim));
 
   sink.window().Reset(tb.sim().Now());
   tb.sim().RunFor(kSecond);  // the incident second

@@ -89,25 +89,19 @@ class Explorer {
 
   void Crash(const std::string& who) {
     Server* victim = nullptr;
-    Cycles reboot = 0;
-    const StackConfig& cfg = tb_.stack()->config();
     if (who == "driver") {
       victim = tb_.stack()->driver();
-      reboot = cfg.driver.restart_cycles;
     } else if (who == "ip") {
       victim = tb_.stack()->ip();
-      reboot = cfg.ip.restart_cycles;
     } else if (who == "tcp") {
       victim = tb_.stack()->tcp();
-      reboot = cfg.tcp.restart_cycles;
     } else if (who == "udp") {
       victim = tb_.stack()->udp();
-      reboot = cfg.udp.restart_cycles;
     } else {
       std::cout << "usage: crash driver|ip|tcp|udp\n";
       return;
     }
-    mgr_.InjectCrash(victim, tb_.sim().Now() + kMicrosecond, reboot);
+    mgr_.InjectCrash(victim, tb_.sim().Now() + kMicrosecond, tb_.stack()->RestartCycles(victim));
     std::cout << who << " will crash now and auto-recover (watch `stat` after `run`)\n";
   }
 

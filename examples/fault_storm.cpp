@@ -37,15 +37,6 @@ double WindowGbps(IperfPeerSink& sink, Testbed& tb, SimTime window) {
   return sink.window().GbitsPerSec(tb.sim().Now());
 }
 
-Cycles RestartFor(const StackConfig& cfg, const std::string& name) {
-  if (name.find("driver") != std::string::npos) return cfg.driver.restart_cycles;
-  if (name.find("tcp") != std::string::npos) return cfg.tcp.restart_cycles;
-  if (name.find("udp") != std::string::npos) return cfg.udp.restart_cycles;
-  if (name.find("pf") != std::string::npos) return cfg.pf.restart_cycles;
-  if (name.find("syscall") != std::string::npos) return cfg.syscall.restart_cycles;
-  return cfg.ip.restart_cycles;
-}
-
 }  // namespace
 
 int main() {
@@ -62,7 +53,7 @@ int main() {
   WatchdogServer watchdog(&tb.sim(), &mgr, wd);
   watchdog.BindCore(tb.machine().core(stack->config().watchdog_core));
   for (Server* s : stack->SystemServers()) {
-    watchdog.Watch(s, RestartFor(stack->config(), s->name()));
+    watchdog.Watch(s, stack->RestartCycles(s));
   }
 
   // Tracing: the stack tracer wires every stage; the watchdog joins after

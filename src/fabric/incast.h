@@ -99,7 +99,7 @@ inline constexpr int kMaxIncastLanes = 64;
 // a lane past that holds no host (see IncastLaneOfClient). Returns "" when
 // the count is usable, else the reason it is not. Every entry point that
 // accepts a lane count (the .nsc parser, newtos_scenario --lanes,
-// perf_engine --lanes) calls this.
+// fig13_incast --lanes) calls this.
 std::string IncastLanesError(int clients, long lanes);
 
 // --- UDP incast -----------------------------------------------------------

@@ -123,6 +123,32 @@ std::vector<Server*> MultiserverStack::SystemServers() {
   return out;
 }
 
+Cycles MultiserverStack::RestartCycles(const Server* server) const {
+  assert(server != nullptr);
+  if (server == driver_.get()) {
+    return config_.driver.restart_cycles;
+  }
+  if (server == ip_.get()) {
+    return config_.ip.restart_cycles;
+  }
+  if (server == pf_.get()) {
+    return config_.pf.restart_cycles;
+  }
+  if (server == udp_.get()) {
+    return config_.udp.restart_cycles;
+  }
+  if (server == syscall_.get()) {
+    return config_.syscall.restart_cycles;
+  }
+  for (const auto& shard : tcps_) {
+    if (server == shard.get()) {
+      return config_.tcp.restart_cycles;
+    }
+  }
+  assert(false && "RestartCycles: not a system server of this stack");
+  return 0;
+}
+
 std::vector<AppProcess*> MultiserverStack::Apps() {
   std::vector<AppProcess*> out;
   out.reserve(apps_.size());

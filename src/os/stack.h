@@ -120,6 +120,11 @@ class MultiserverStack {
   std::vector<Server*> SystemServers();
   std::vector<AppProcess*> Apps();
 
+  // The microreboot cost of one of SystemServers(), from its costs block in
+  // the config: the cycles a restart of `server` charges to its core.
+  // Matched by identity, so every TCP shard gets the TCP cost.
+  Cycles RestartCycles(const Server* server) const;
+
  private:
   Simulation* sim_;
   Machine* machine_;

@@ -16,16 +16,8 @@ Fig2DesResult RunFig2Des(uint64_t transfer_bytes) {
 
   Fig2DesResult r;
   StreamIntegrityChecker integrity;
-  SimTime last_delivery = -1;
   TcpHost::AppHooks hooks;
-  hooks.on_data = [&integrity, &r, &last_delivery, &tb](TcpConnection*, uint32_t bytes) {
-    integrity.OnChunk(bytes);
-    const SimTime now = tb.sim().Now();
-    if (last_delivery >= 0) {
-      r.delivery_gap.Record(now - last_delivery);
-    }
-    last_delivery = now;
-  };
+  hooks.on_data = [&integrity](TcpConnection*, uint32_t bytes) { integrity.OnChunk(bytes); };
   tb.peer().tcp().Listen(kIperfPort, hooks, tb.peer().tcp_params());
 
   // Submit the whole transfer in one Send: segmentation is then TCP's alone

@@ -19,8 +19,6 @@
 
 #include <cstdint>
 
-#include "src/metrics/histogram.h"
-
 namespace newtos {
 
 struct Fig2DesResult {
@@ -31,11 +29,6 @@ struct Fig2DesResult {
   bool completed = false;        // delivered == transfer_bytes in time
   double sim_seconds = 0.0;      // simulated time the transfer took
   uint64_t sim_events = 0;       // DES events processed
-  // Simulated gap between successive chunk deliveries at the peer — the
-  // model's per-message service interval. (The live backend's histogram is
-  // end-to-end app-push -> peer-pop latency; the two are different views of
-  // "per-message timing" and must not be reported under one name.)
-  LatencyHistogram delivery_gap;
 };
 
 // Runs the bounded fig2 workload (SUT app -> peer over one TCP connection)

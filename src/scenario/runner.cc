@@ -74,25 +74,6 @@ uint64_t ScriptPlanSeed(const Script& script, FreqKhz freq) {
   return h ^ static_cast<uint64_t>(freq);
 }
 
-Cycles RestartCyclesFor(const StackConfig& config, const std::string& server_name) {
-  if (server_name.find("driver") != std::string::npos) {
-    return config.driver.restart_cycles;
-  }
-  if (server_name.find("tcp") != std::string::npos) {
-    return config.tcp.restart_cycles;
-  }
-  if (server_name.find("udp") != std::string::npos) {
-    return config.udp.restart_cycles;
-  }
-  if (server_name.find("pf") != std::string::npos) {
-    return config.pf.restart_cycles;
-  }
-  if (server_name.find("syscall") != std::string::npos) {
-    return config.syscall.restart_cycles;
-  }
-  return config.ip.restart_cycles;
-}
-
 struct TcpAggregate {
   uint64_t retransmits = 0;
   uint64_t timeouts = 0;
@@ -323,7 +304,7 @@ ScenarioOutcome ScenarioRunner::RunP2p(const Script& script, FreqKhz freq) {
     watchdog.emplace(&sim, &*mgr, script.watchdog_params);
     watchdog->BindCore(tb.machine().core(stack->config().watchdog_core));
     for (Server* s : stack->SystemServers()) {
-      watchdog->Watch(s, RestartCyclesFor(stack->config(), s->name()));
+      watchdog->Watch(s, stack->RestartCycles(s));
     }
   }
 

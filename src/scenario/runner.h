@@ -14,8 +14,8 @@
 // Steady-state allocation: every piece of per-event machinery the runner arms
 // (fault taps, the link shaper, integrity/progress hooks, trace recording) is
 // allocation-free per event; all script state is resolved before the sim
-// starts. tools/scenario's --alloc-gate pins the whole interpreter to
-// 0 allocs/event over the measurement window.
+// starts. ScenarioAllocGate (tests/alloc_gate_test.cc) pins the whole
+// interpreter to 0 allocs/event over the measurement window.
 
 #ifndef SRC_SCENARIO_RUNNER_H_
 #define SRC_SCENARIO_RUNNER_H_

@@ -3,8 +3,9 @@
 // A TraceEvent is 32 bytes of plain data — no strings, no pointers, no
 // ownership. Names and tracks are interned up front (setup time) into small
 // integer ids; the hot recording path only ever copies one of these PODs
-// into a preallocated ring, which is what keeps the `perf_engine --check`
-// zero-allocations-per-event gate green with tracing compiled in.
+// into a preallocated ring, which is what keeps the zero-allocations-per-event
+// gate (EngineAllocGate in tests/alloc_gate_test.cc) green with tracing
+// compiled in.
 //
 // Event kinds map onto the Chrome trace-event vocabulary the exporter emits:
 //   span begin/end   — synchronous slices on one track (server service time);

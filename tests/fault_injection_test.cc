@@ -129,15 +129,8 @@ struct RecoveryPlane {
       : mgr(&tb.sim()), watchdog(&tb.sim(), &mgr, WatchdogServer::Params()) {
     MultiserverStack* stack = tb.stack();
     watchdog.BindCore(tb.machine().core(stack->config().watchdog_core));
-    const StackConfig& cfg = stack->config();
     for (Server* s : stack->SystemServers()) {
-      Cycles restart = cfg.ip.restart_cycles;
-      if (s->name().find("driver") != std::string::npos) restart = cfg.driver.restart_cycles;
-      if (s->name().find("tcp") != std::string::npos) restart = cfg.tcp.restart_cycles;
-      if (s->name().find("udp") != std::string::npos) restart = cfg.udp.restart_cycles;
-      if (s->name().find("pf") != std::string::npos) restart = cfg.pf.restart_cycles;
-      if (s->name().find("syscall") != std::string::npos) restart = cfg.syscall.restart_cycles;
-      watchdog.Watch(s, restart);
+      watchdog.Watch(s, stack->RestartCycles(s));
     }
     watchdog.Start();
   }

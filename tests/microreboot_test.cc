@@ -28,6 +28,33 @@ struct RunningIperf {
   IperfPeerSink sink;
 };
 
+// Each system server reboots at the cost its own StackConfig block names,
+// every TCP shard included. Distinct costs make a swapped mapping visible.
+TEST(Microreboot, RestartCyclesComeFromEachServersCostBlock) {
+  TestbedOptions options;
+  StackConfig& cfg = options.stack;
+  cfg.use_pf = true;
+  cfg.tcp_shards = 2;  // implies the syscall gateway
+  cfg.driver.restart_cycles = 1;
+  cfg.ip.restart_cycles = 2;
+  cfg.pf.restart_cycles = 3;
+  cfg.tcp.restart_cycles = 4;
+  cfg.udp.restart_cycles = 5;
+  cfg.syscall.restart_cycles = 6;
+  Testbed tb(options);
+  MultiserverStack* stack = tb.stack();
+  ASSERT_NE(stack->syscall(), nullptr);
+
+  EXPECT_EQ(stack->RestartCycles(stack->driver()), 1);
+  EXPECT_EQ(stack->RestartCycles(stack->ip()), 2);
+  EXPECT_EQ(stack->RestartCycles(stack->pf()), 3);
+  EXPECT_EQ(stack->RestartCycles(stack->tcp_shard(0)), 4);
+  EXPECT_EQ(stack->RestartCycles(stack->tcp_shard(1)), 4);
+  EXPECT_EQ(stack->RestartCycles(stack->udp()), 5);
+  EXPECT_EQ(stack->RestartCycles(stack->syscall()), 6);
+  EXPECT_EQ(stack->SystemServers().size(), 7u);
+}
+
 TEST(Microreboot, IpServerCrashRecoversTransparently) {
   Testbed tb;
   RunningIperf load(tb);

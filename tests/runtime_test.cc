@@ -151,20 +151,30 @@ TEST(LiveStack, QuiesceDrainJoinLosesNoMessages) {
   EXPECT_EQ(r.latency.count(), r.chunks);
 }
 
+// The backend digest-equivalence gate: one loss-free DES run against one
+// live run of each topology. Any byte-stream divergence or channel-protocol
+// violation fails it.
 TEST(LiveStack, DigestMatchesDesReference) {
   const Fig2DesResult des = RunFig2Des(kTransfer);
   ASSERT_TRUE(des.completed);
   ASSERT_EQ(des.retransmits, 0u) << "lossy DES run cannot serve as the byte-stream oracle";
 
-  LiveStackConfig cfg;
-  cfg.transfer_bytes = kTransfer;
-  const LiveStackResult live = RunLiveFig2(cfg);
-  ASSERT_TRUE(live.completed);
+  for (const bool mini : {false, true}) {
+    SCOPED_TRACE(mini ? "mini topology" : "full topology");
+    LiveStackConfig cfg;
+    cfg.transfer_bytes = kTransfer;
+    cfg.mini = mini;
+    const LiveStackResult live = RunLiveFig2(cfg);
+    ASSERT_TRUE(live.completed);
+    EXPECT_TRUE(live.conservation_ok);
 
-  // The acceptance criterion: byte-identical application streams.
-  EXPECT_EQ(live.delivered, des.delivered);
-  EXPECT_EQ(live.chunks, des.chunks);
-  EXPECT_EQ(live.digest, des.digest);
+    // The acceptance criterion: byte-identical application streams.
+    EXPECT_EQ(live.delivered, des.delivered);
+    EXPECT_EQ(live.chunks, des.chunks);
+    EXPECT_EQ(live.digest, des.digest);
+    EXPECT_EQ(live.payload_errors, 0u);
+    EXPECT_EQ(live.TotalImposters(), 0u);
+  }
 }
 
 TEST(LiveStack, MiniStackMatchesFullStackDigest) {

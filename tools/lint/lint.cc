@@ -803,7 +803,7 @@ bool LintTree(const std::string& root, const Config& config, std::vector<Diagnos
               std::string* error) {
   const fs::path rootp(root);
   std::vector<fs::path> files;
-  for (const char* dir : {"src", "bench", "examples", "tools"}) {
+  for (const char* dir : {"src", "bench", "examples", "tools", "tests"}) {
     const fs::path d = rootp / dir;
     if (!fs::exists(d)) {
       continue;

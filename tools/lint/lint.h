@@ -2,11 +2,12 @@
 //
 // The repo's load-bearing claims — zero allocations per event on the fast
 // path, single-producer/single-consumer channel discipline, bit-for-bit
-// deterministic replay — are runtime-checked by perf_engine --check, the
+// deterministic replay — are runtime-checked by the allocation gates, the
 // ChannelChecker and the determinism goldens, but nothing stops a PR from
 // quietly *reintroducing* the idioms those gates exist to catch. This linter
 // closes that hole statically: a token-level (AST-lite, no libclang) scanner
-// that walks src/, bench/ and examples/ and flags the idioms the project has
+// that walks src/, bench/, examples/, tools/ and tests/ and flags, in the
+// paths each rule's lint.toml entry names, the idioms the project has
 // banned, with every exception recorded in a checked-in allowlist
 // (tools/lint/lint.toml) or an inline `lint:allow(rule)` comment so waivers
 // are explicit and reviewed.
@@ -112,8 +113,9 @@ void LintFileText(const std::string& rel_path, const std::string& text,
                   const std::string& sibling_header, const Config& config,
                   std::vector<Diagnostic>* out);
 
-// Walks `root`'s src/, bench/ and examples/ trees (extensions .h, .cc, .cpp)
-// and lints every file. Returns false if the walk itself failed.
+// Walks `root`'s src/, bench/, examples/, tools/ and tests/ trees (extensions
+// .h, .cc, .cpp) and lints every file under the rules whose paths cover it.
+// Returns false if the walk itself failed.
 bool LintTree(const std::string& root, const Config& config, std::vector<Diagnostic>* out,
               std::string* error);
 

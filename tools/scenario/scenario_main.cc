@@ -5,15 +5,11 @@
 //                                                      exit 1 on any FAIL
 //   newtos_scenario --decomp out/wan_ x.nsc            force tracing and
 //       write per-stage latency decomposition + CDF CSVs per run
-//   newtos_scenario --alloc-gate x.nsc                 fail unless the
-//       measurement window performed ZERO heap allocations — the scripted
-//       interpreter must not add per-event cost over the engine it drives
 //   newtos_scenario --lanes N ...                      override incast lanes
 //   newtos_scenario --list --dir scenarios             parse + describe only
 //
-// The counting allocator (tools/alloc_count) is linked into this binary:
-// the runner's window hooks sample it exactly at the measurement window's
-// edges.
+// The interpreter's zero-allocation gate is ScenarioAllocGate in
+// tests/alloc_gate_test.cc.
 
 #include <cstdio>
 #include <cstdlib>
@@ -26,7 +22,6 @@
 #include "src/scenario/parser.h"
 #include "src/scenario/runner.h"
 #include "src/trace/latency_decomp.h"
-#include "tools/alloc_count/alloc_count.h"
 
 namespace newtos::scenario {
 namespace {
@@ -39,13 +34,12 @@ struct Args {
   int lanes = 0;
   bool check = false;
   bool list = false;
-  bool alloc_gate = false;
 };
 
 int Usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s [SCRIPT.nsc ...] [--dir PATH] [--check] [--list] [--lanes N]\n"
-               "          [--csv PATH] [--decomp PREFIX] [--alloc-gate]\n",
+               "          [--csv PATH] [--decomp PREFIX]\n",
                argv0);
   return 2;
 }
@@ -80,8 +74,6 @@ int Run(int argc, char** argv) {
       args.check = true;
     } else if (std::strcmp(a, "--list") == 0) {
       args.list = true;
-    } else if (std::strcmp(a, "--alloc-gate") == 0) {
-      args.alloc_gate = true;
     } else if (a[0] == '-') {
       return Usage(argv[0]);
     } else {
@@ -132,21 +124,10 @@ int Run(int argc, char** argv) {
   }
 
   std::vector<ScenarioOutcome> outcomes;
-  bool alloc_ok = true;
   for (const Script& s : scripts) {
     for (FreqKhz freq : s.freqs) {
       RunnerOptions ro;
       ro.lanes_override = args.lanes;
-      uint64_t window_allocs = 0;
-      uint64_t allocs_at_begin = 0;
-      if (args.alloc_gate) {
-        ro.on_window_begin = [&allocs_at_begin] {
-          allocs_at_begin = AllocCount();
-        };
-        ro.on_window_end = [&allocs_at_begin, &window_allocs] {
-          window_allocs = AllocCount() - allocs_at_begin;
-        };
-      }
       LatencyDecomposer decomp;
       if (!args.decomp_prefix.empty()) {
         ro.force_trace = true;
@@ -155,19 +136,6 @@ int Run(int argc, char** argv) {
       ScenarioRunner runner(std::move(ro));
       ScenarioOutcome o = runner.RunOne(s, freq);
 
-      if (args.alloc_gate) {
-        std::printf("%s @ %s: %llu allocs over %llu window events\n", o.name.c_str(),
-                    FreqTag(freq).c_str(), static_cast<unsigned long long>(window_allocs),
-                    static_cast<unsigned long long>(o.window_events));
-        if (window_allocs != 0) {
-          std::fprintf(stderr,
-                       "FAIL: scenario '%s' performed %llu heap allocations in the "
-                       "measurement window; the scripted interpreter must be "
-                       "allocation-free per event in steady state\n",
-                       o.name.c_str(), static_cast<unsigned long long>(window_allocs));
-          alloc_ok = false;
-        }
-      }
       if (!args.decomp_prefix.empty()) {
         const std::string base = args.decomp_prefix + o.name + "_" + FreqTag(freq);
         if (!decomp.WriteStageCsv(base + "_stages.csv") ||
@@ -205,9 +173,6 @@ int Run(int argc, char** argv) {
   int failed = 0;
   for (const ScenarioOutcome& o : outcomes) {
     failed += o.pass ? 0 : 1;
-  }
-  if (!alloc_ok) {
-    return 1;
   }
   if (args.check && failed > 0) {
     std::fprintf(stderr, "FAIL: %d scenario run(s) failed\n", failed);
