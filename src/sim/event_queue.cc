@@ -11,7 +11,7 @@ bool EventHandle::Cancel() {
     return false;  // already fired/discarded (slot recycled) or cancelled
   }
   s.cancelled = true;
-  ++pool_->cancelled_in_heap;
+  ++pool_->cancelled_queued;
   return true;
 }
 
@@ -24,25 +24,37 @@ bool EventHandle::pending() const {
 }
 
 void EventQueue::Compact() {
-  heap_.erase(std::remove_if(heap_.begin(), heap_.end(),
-                             [this](const Entry& e) {
-                               if (!pool_->slot(e.slot).cancelled) {
-                                 return false;
-                               }
-                               pool_->Release(e.slot);  // also clears `cancelled`
-                               return true;
-                             }),
-              heap_.end());
-  pool_->cancelled_in_heap = 0;
+  // Releases a cancelled entry's slot (which also clears `cancelled`).
+  auto drop = [this](const Entry& e) {
+    if (!pool_->slot(e.slot).cancelled) {
+      return false;
+    }
+    pool_->Release(e.slot);
+    return true;
+  };
+  uint32_t kept = 0;
+  for (uint32_t i = 0; i < near_size_; ++i) {
+    const Entry e = NearAt(i);
+    if (!drop(e)) {
+      NearAt(kept++) = e;
+    }
+  }
+  near_size_ = kept;
+  heap_.erase(std::remove_if(heap_.begin(), heap_.end(), drop), heap_.end());
+  pool_->cancelled_queued = 0;
   std::make_heap(heap_.begin(), heap_.end(), Later{});
 }
 
 void EventQueue::Clear() {
+  for (uint32_t i = 0; i < near_size_; ++i) {
+    pool_->Release(NearAt(i).slot);  // destroys the callback, clears `cancelled`
+  }
+  near_size_ = 0;
   for (const Entry& e : heap_) {
-    pool_->Release(e.slot);  // destroys the callback, clears `cancelled`
+    pool_->Release(e.slot);
   }
   heap_.clear();
-  pool_->cancelled_in_heap = 0;
+  pool_->cancelled_queued = 0;
 }
 
 void EventQueue::Reserve(size_t n) {

@@ -11,6 +11,9 @@
 //   FabricAllocGate   a 32-client UDP incast through the switch fabric, 1 lane
 //                     (the oracle) against 4 lanes: identical digests, no
 //                     allocation on any lane, busiest lane <= half the events;
+//                     once with Poisson senders and once with synchronized
+//                     ones, whose same-instant arrivals exercise the switch's
+//                     round-robin tie arbitration;
 //   MillionFlowAllocGate  10^6 concurrent TCP flows on two timer wheels;
 //   ScenarioAllocGate  the .nsc interpreter over scenarios/wan/alloc_gate.nsc.
 //
@@ -135,7 +138,11 @@ struct FabricWindow {
 // 32 clients flooding one sink at ~4x its egress line rate. The excess is
 // tail-dropped inside the fabric at zero cost to the destination lane, so
 // event load concentrates on the client lanes — the topology lanes exploit.
-FabricWindow RunFabric(int lanes) {
+// Poisson senders almost never reach the switch at one instant. Synchronized
+// senders (constant rate, all started at t = 0) arrive in 32-way ties every
+// gap, so Switch::Flush's round-robin arbitration decides whose frames the
+// egress queue drops, and a lane-dependent rotation shows in the digest.
+FabricWindow RunFabric(int lanes, bool synchronized) {
   UdpIncastOptions o;
   o.topo.n_clients = 32;
   o.topo.lanes = lanes;
@@ -144,7 +151,7 @@ FabricWindow RunFabric(int lanes) {
   o.topo.fabric.port_propagation = 20 * kMicrosecond;
   o.payload_bytes = 1024;
   o.pps_per_client = 150'000.0;
-  o.poisson = true;
+  o.poisson = !synchronized;
   UdpIncastBed bed(o);
   bed.Start();
 
@@ -175,9 +182,9 @@ FabricWindow RunFabric(int lanes) {
   return r;
 }
 
-TEST(FabricAllocGate, IncastDigestMatchesOracleAllocationFreeAndBalanced) {
-  const FabricWindow oracle = RunFabric(1);
-  const FabricWindow split = RunFabric(4);
+void ExpectFabricMatchesOracle(bool synchronized) {
+  const FabricWindow oracle = RunFabric(1, synchronized);
+  const FabricWindow split = RunFabric(4, synchronized);
   ASSERT_GT(oracle.events, 0u);
 
   // Bit-identical to the 1-lane oracle.
@@ -189,6 +196,14 @@ TEST(FabricAllocGate, IncastDigestMatchesOracleAllocationFreeAndBalanced) {
   // The busiest lane bounds the speedup at 1 / share; the incast topology
   // must leave >= 2x on a 4-core host.
   EXPECT_LE(split.max_lane_share, 0.5);
+}
+
+TEST(FabricAllocGate, IncastDigestMatchesOracleAllocationFreeAndBalanced) {
+  ExpectFabricMatchesOracle(/*synchronized=*/false);
+}
+
+TEST(FabricAllocGate, SynchronizedIncastDigestMatchesOracle) {
+  ExpectFabricMatchesOracle(/*synchronized=*/true);
 }
 
 // --- Timer wheel: 10^6 concurrent flows -------------------------------------

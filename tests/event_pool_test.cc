@@ -19,6 +19,9 @@ namespace newtos {
 namespace {
 
 constexpr SimTime kForever = std::numeric_limits<SimTime>::max();
+// Pushed into a fresh queue, kNear lands in the near ring and kFar in the heap.
+constexpr SimTime kNear = EventQueue::kNearHorizon / 2;
+constexpr SimTime kFar = EventQueue::kNearHorizon * 10;
 
 // Runs the earliest live event in place and returns its time.
 SimTime FireNext(EventQueue& q) {
@@ -109,15 +112,16 @@ TEST(EventPool, HandlesOutliveTheQueue) {
 TEST(EventPool, LiveSizeExcludesCancelledEntries) {
   EventQueue q;
   std::vector<EventHandle> handles;
+  // Alternate tiers: both count, and so do cancels in either.
   for (int i = 0; i < 10; ++i) {
-    handles.push_back(q.Push(100 + i, [] {}));
+    handles.push_back(q.Push((i % 2 == 0 ? kNear : kFar) + i, [] {}));
   }
   EXPECT_EQ(q.RawSize(), 10u);
   EXPECT_EQ(q.LiveSize(), 10u);
   for (int i = 0; i < 4; ++i) {
     EXPECT_TRUE(handles[static_cast<size_t>(i)].Cancel());
   }
-  EXPECT_EQ(q.RawSize(), 10u);  // still occupying the heap
+  EXPECT_EQ(q.RawSize(), 10u);  // still occupying their tiers
   EXPECT_EQ(q.LiveSize(), 6u);
 }
 
@@ -261,8 +265,9 @@ TEST(EventPool, SharedCaptureIsReleasedExactlyOnceWhenItFires) {
 TEST(EventPool, SharedCaptureIsReleasedExactlyOnceByClear) {
   int deleted = 0;
   EventQueue q;
+  // One event in each tier: the near ring and the far heap.
   q.Push(5, [p = Tracked(&deleted)] { FAIL() << "cleared event fired"; });
-  q.Push(6, [p = Tracked(&deleted)] { FAIL() << "cleared event fired"; });
+  q.Push(kFar, [p = Tracked(&deleted)] { FAIL() << "cleared event fired"; });
   q.Clear();
   EXPECT_EQ(deleted, 2);
   EXPECT_TRUE(q.Empty());
@@ -273,6 +278,8 @@ TEST(EventPool, SharedCaptureIsReleasedExactlyOnceByCancelAndCompaction) {
   int deleted = 0;
   EventQueue q;
   q.Push(0, [] {});  // blocker so lazy discard can't help
+  // 100 near-horizon events: they fill the near ring and overflow into the
+  // heap, so compaction releases captures from both tiers.
   std::vector<EventHandle> doomed;
   for (int i = 0; i < 100; ++i) {
     doomed.push_back(q.Push(10 + i, [p = Tracked(&deleted)] { FAIL() << "cancelled"; }));
@@ -288,6 +295,45 @@ TEST(EventPool, SharedCaptureIsReleasedExactlyOnceByCancelAndCompaction) {
     FireNext(q);
   }
   EXPECT_EQ(deleted, 100);
+}
+
+TEST(EventPool, NearTierCancelChurnStaysBounded) {
+  // A timer re-armed many times at one instant (TimerWheel's wake re-arm,
+  // poll_policy's halt timer): every re-arm cancels a sub-horizon entry that
+  // lazy discard cannot reach, so only eager compaction bounds the backlog.
+  EventQueue q;
+  int fired = 0;
+  q.Push(0, [&] {
+    EventHandle timer;
+    for (int i = 0; i < 10000; ++i) {
+      timer.Cancel();
+      timer = q.Push(kNear, [&fired] { ++fired; });
+      // 64 entries is where eager compaction starts; both tiers count.
+      ASSERT_LE(q.RawSize(), 64u) << "after " << i << " re-arms";
+    }
+  });
+  FireNext(q);
+  EXPECT_EQ(q.LiveSize(), 1u);
+  EXPECT_EQ(FireNext(q), kNear);
+  EXPECT_TRUE(q.Empty());
+  EXPECT_EQ(q.RawSize(), 0u);
+  EXPECT_EQ(fired, 1);
+}
+
+TEST(EventPool, SharedCaptureIsReleasedExactlyOnceByLazyCancelInEitherTier) {
+  int deleted = 0;
+  EventQueue q;
+  EventHandle near = q.Push(kNear, [p = Tracked(&deleted)] { FAIL() << "cancelled"; });
+  EventHandle far = q.Push(kFar, [p = Tracked(&deleted)] { FAIL() << "cancelled"; });
+  q.Push(2 * kFar, [] {});
+  EXPECT_TRUE(near.Cancel());
+  EXPECT_TRUE(far.Cancel());
+  EXPECT_EQ(deleted, 0);  // cancelled, not yet discarded
+  EXPECT_EQ(q.NextTime(), 2 * kFar);  // discards both fronts
+  EXPECT_EQ(deleted, 2);
+  EXPECT_EQ(q.RawSize(), 1u);
+  FireNext(q);
+  EXPECT_EQ(deleted, 2);
 }
 
 TEST(EventPool, TrivialCaptureSurvivesMoves) {
