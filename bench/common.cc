@@ -69,7 +69,7 @@ HttpResult MeasureHttp(const TestbedOptions& options, const HttpParams& params,
   r.p99 = client.latency().P99();
   r.joules = tb.machine().PackageJoulesAt(now);
   r.avg_pkg_watts = r.joules / ToSeconds(window);
-  const int app_core = options.monolithic ? options.monolithic_core : 0;
+  const int app_core = options.monolithic ? kMonolithicCore : 0;
   r.app_freq = tb.machine().core(app_core)->frequency();
   return r;
 }

@@ -5,7 +5,8 @@
 // Demonstrates the reliability half of the system: fault injection via
 // MicrorebootManager, per-server recovery hooks (the IP server is stateless,
 // the TCP server optionally checkpoints its connection state), and that a
-// bulk transfer rides out both incidents.
+// bulk transfer rides out both incidents. Exits 1 unless both servers
+// recovered and the recovered goodput is above half the steady state.
 
 #include <cstdio>
 
@@ -35,7 +36,8 @@ int main() {
   sender.Start();
   tb.sim().RunFor(200 * kMillisecond);
 
-  std::printf("steady state:            %5.2f Gbit/s\n", WindowGbps(sink, tb, 200 * kMillisecond));
+  const double steady = WindowGbps(sink, tb, 200 * kMillisecond);
+  std::printf("steady state:            %5.2f Gbit/s\n", steady);
 
   MicrorebootManager mgr(&tb.sim());
   const StackConfig& cfg = tb.stack()->config();
@@ -48,14 +50,24 @@ int main() {
   mgr.InjectCrash(tb.stack()->tcp(), tb.sim().Now() + 10 * kMillisecond, cfg.tcp.restart_cycles);
   std::printf("tcp crash second:        %5.2f Gbit/s\n", WindowGbps(sink, tb, kSecond));
 
-  std::printf("recovered steady state:  %5.2f Gbit/s\n", WindowGbps(sink, tb, 200 * kMillisecond));
+  const double recovered = WindowGbps(sink, tb, 200 * kMillisecond);
+  std::printf("recovered steady state:  %5.2f Gbit/s\n", recovered);
 
   std::printf("\nincident log:\n");
+  bool all_recovered = mgr.incidents().size() == 2;
   for (const auto& inc : mgr.incidents()) {
+    all_recovered = all_recovered && inc.recovered_at != 0;
     std::printf("  %-7s crashed %-10s detected +%s  recovered +%s\n", inc.server.c_str(),
                 FormatTime(inc.crashed_at).c_str(),
                 FormatTime(inc.detected_at - inc.crashed_at).c_str(),
                 FormatTime(inc.RecoveryTime()).c_str());
+  }
+  if (!all_recovered || recovered <= 0.5 * steady) {
+    std::printf("\nThe transfer did not survive both microreboots: %.2f Gbit/s recovered\n"
+                "against %.2f Gbit/s steady state, %s.\n",
+                recovered, steady,
+                all_recovered ? "both servers recovered" : "a server did not recover");
+    return 1;
   }
   std::printf("\nThe transfer survived both microreboots; TCP retransmission filled\n"
               "the gaps, and the checkpointed TCP server kept its connections.\n");

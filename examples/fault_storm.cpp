@@ -14,8 +14,14 @@
 //
 // The printed log shows each injection, each watchdog detection, and each
 // recovery incident — and the transfer's goodput before, during, and after
-// the storm. Same binary, same output, every run: the storm is a pure
-// function of the seed.
+// the storm, with the verdict those numbers give: the transfer survived if
+// every incident recovered, TCP accepted no corrupt segment, and the goodput
+// after the storm is above half the calm goodput. Same binary, same output,
+// every run: the storm is a pure function of the seed.
+//
+// The exit code is 0 whatever the verdict while the TCP recovery stall after
+// a timeout (ROADMAP item 2) is open: at this seed the connection sits in RTO
+// backoff after the storm, and each RTO retires a single hole.
 //
 // The storm second is also recorded with the tracing subsystem and exported
 // to trace_fault_storm.json — load it at https://ui.perfetto.dev to see the
@@ -51,7 +57,7 @@ int main() {
   MicrorebootManager mgr(&tb.sim());
   WatchdogServer::Params wd;
   WatchdogServer watchdog(&tb.sim(), &mgr, wd);
-  watchdog.BindCore(tb.machine().core(stack->config().watchdog_core));
+  watchdog.BindCore(tb.machine().core(kWatchdogCore));
   for (Server* s : stack->SystemServers()) {
     watchdog.Watch(s, stack->RestartCycles(s));
   }
@@ -114,11 +120,13 @@ int main() {
   tb.sim().RunFor(200 * kMillisecond);
 
   std::printf("stack cores at 1.2 GHz, app core at 3.6 GHz\n\n");
-  std::printf("calm before the storm:  %5.2f Gbit/s\n", WindowGbps(sink, tb, 100 * kMillisecond));
+  const double calm = WindowGbps(sink, tb, 100 * kMillisecond);
+  std::printf("calm before the storm:  %5.2f Gbit/s\n", calm);
   tracer.Enable();
   std::printf("storm second:           %5.2f Gbit/s\n", WindowGbps(sink, tb, kSecond));
   tracer.Disable();
-  std::printf("after the storm:        %5.2f Gbit/s\n", WindowGbps(sink, tb, 200 * kMillisecond));
+  const double after = WindowGbps(sink, tb, 200 * kMillisecond);
+  std::printf("after the storm:        %5.2f Gbit/s\n", after);
 
   std::printf("\ninjections (server-level):\n");
   for (const auto& line : injector.injections()) {
@@ -138,7 +146,9 @@ int main() {
   }
 
   std::printf("\nrecovery incidents:\n");
+  bool all_recovered = !mgr.incidents().empty();
   for (const auto& inc : mgr.incidents()) {
+    all_recovered = all_recovered && inc.recovered_at != 0;
     std::printf("  %-7s down at %-10s recovered +%s\n", inc.server.c_str(),
                 FormatTime(inc.crashed_at).c_str(), FormatTime(inc.RecoveryTime()).c_str());
   }
@@ -161,8 +171,16 @@ int main() {
     std::fprintf(stderr, "\nfailed to write trace_fault_storm.json\n");
   }
 
-  std::printf("\nThe transfer survived the storm: every hung or crashed server was\n"
-              "detected by heartbeat silence and microrebooted; retransmission\n"
-              "papered over the drops, flips, and the recovery gaps.\n");
+  if (all_recovered && corrupt_accepted == 0 && after > 0.5 * calm) {
+    std::printf("\nThe transfer survived the storm: every hung or crashed server was\n"
+                "detected by heartbeat silence and microrebooted; retransmission\n"
+                "papered over the drops, flips, and the recovery gaps.\n");
+  } else {
+    std::printf("\nThe transfer did not survive the storm: %.2f Gbit/s after it against\n"
+                "%.2f Gbit/s calm, %s, %llu corrupt segments accepted.\n",
+                after, calm,
+                all_recovered ? "every incident recovered" : "an incident did not recover",
+                static_cast<unsigned long long>(corrupt_accepted));
+  }
   return 0;
 }

@@ -23,14 +23,11 @@
 #include <string>
 #include <utility>
 
+#include "src/check/channel_checker.h"
 #include "src/sim/ring_deque.h"
 #include "src/sim/simulation.h"
 #include "src/sim/time.h"
 #include "src/trace/recorder.h"
-
-#if NEWTOS_CHECKERS
-#include "src/check/channel_checker.h"
-#endif
 
 namespace newtos {
 
@@ -100,11 +97,9 @@ class SimChannel {
     trace_hop_ = hop_name;
   }
 
-#if NEWTOS_CHECKERS
   // Protocol checker (src/check/channel_checker.h): validates the SPSC
   // discipline and FIFO order on this channel. Wired once at setup; with no
-  // checker attached every hook is one predictable branch, and with the
-  // macro off the hooks (and the push cursor) are not compiled at all.
+  // checker attached every hook is one predictable branch.
   void EnableCheck(ChannelChecker* check) {
     check_ = check;
     if (check_ != nullptr) {
@@ -112,19 +107,15 @@ class SimChannel {
     }
   }
   ChannelChecker* check() const { return check_; }
-#endif
 
   // Enqueues; returns false if the channel is full (message dropped, counted).
   // A tap-injected drop returns true: the producer's enqueue succeeded, the
   // message was lost in transit — indistinguishable from the producer's side.
   bool Push(T msg) {
-    uint64_t seq = 0;
-#if NEWTOS_CHECKERS
-    seq = ++check_seq_;
+    const uint64_t seq = ++check_seq_;
     if (check_ != nullptr) {
       check_->OnProducerPush(this, seq, TraceIdsOf(msg).hop);
     }
-#endif
     if (tap_) {
       const ChanTapDecision d = tap_(msg);
       switch (d.action) {
@@ -132,11 +123,9 @@ class SimChannel {
           break;
         case ChanTapAction::kDrop:
           ++stats_.injected_drops;
-#if NEWTOS_CHECKERS
           if (check_ != nullptr) {
             check_->OnDrop(this, TraceIdsOf(msg).hop);
           }
-#endif
           return true;
         case ChanTapAction::kDuplicate:
           ++stats_.injected_dups;
@@ -159,11 +148,9 @@ class SimChannel {
     std::optional<T> out(std::move(queue_.front()));
     queue_.pop_front();
     ++stats_.pops;
-#if NEWTOS_CHECKERS
     if (check_ != nullptr) {
       check_->OnPop(this, TraceIdsOf(*out).hop);
     }
-#endif
     if (TraceOn(trace_rec_)) {
       const TraceIds ids = TraceIdsOf(*out);
       if (ids.hop != 0) {
@@ -194,14 +181,12 @@ class SimChannel {
     return PushDirect(std::move(msg), seq);
   }
 
-  bool PushDirect(T msg, [[maybe_unused]] uint64_t seq = 0) {
+  bool PushDirect(T msg, uint64_t seq = 0) {
     if (full()) {
       ++stats_.full_drops;
-#if NEWTOS_CHECKERS
       if (check_ != nullptr) {
         check_->OnDrop(this, TraceIdsOf(msg).hop);
       }
-#endif
       return false;
     }
     if (TraceOn(trace_rec_)) {
@@ -210,11 +195,9 @@ class SimChannel {
         trace_rec_->AsyncBegin(sim_->Now(), trace_track_, trace_hop_, ids.hop);
       }
     }
-#if NEWTOS_CHECKERS
     if (check_ != nullptr) {
       check_->OnDeliver(this, seq);
     }
-#endif
     const bool was_empty = queue_.empty();
     queue_.push_back(std::move(msg));
     ++stats_.pushes;
@@ -256,10 +239,8 @@ class SimChannel {
   TrackId trace_track_ = 0;
   NameId trace_hop_ = 0;
 
-#if NEWTOS_CHECKERS
   ChannelChecker* check_ = nullptr;
   uint64_t check_seq_ = 0;  // push cursor: strictly monotone per channel
-#endif
 };
 
 }  // namespace newtos

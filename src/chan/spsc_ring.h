@@ -22,16 +22,13 @@
 #include <atomic>
 #include <cassert>
 #include <cstddef>
+#include <functional>
 #include <memory>
 #include <new>
 #include <optional>
+#include <thread>
 #include <type_traits>
 #include <utility>
-
-#if NEWTOS_CHECKERS
-#include <functional>
-#include <thread>
-#endif
 
 namespace newtos {
 
@@ -40,7 +37,6 @@ namespace newtos {
 // ABI-stable), and it is 64 on x86-64 anyway.
 inline constexpr size_t kCacheLineBytes = 64;
 
-#if NEWTOS_CHECKERS
 // The calling thread's SPSC identity token — the value the ring's first-touch
 // check binds to each side. A thread records this for itself so post-join
 // audits can map a ring's bound producer_token()/consumer_token() back to a
@@ -49,7 +45,6 @@ inline constexpr size_t kCacheLineBytes = 64;
 inline uint64_t CurrentSpscThreadToken() {
   return std::hash<std::thread::id>{}(std::this_thread::get_id()) | 1;
 }
-#endif
 
 template <typename T>
 class SpscRing {
@@ -81,9 +76,7 @@ class SpscRing {
 
   // Attempts to enqueue; returns false if the ring is full.
   bool TryPush(T value) {
-#if NEWTOS_CHECKERS
     CheckSide(check_state_.producer_thread);
-#endif
     const size_t head = prod_.head.load(std::memory_order_relaxed);
     if (head - prod_.cached_tail > mask_) {
       prod_.cached_tail = cons_.tail.load(std::memory_order_acquire);
@@ -99,9 +92,7 @@ class SpscRing {
   // Constructs in place; returns false if full.
   template <typename... Args>
   bool TryEmplace(Args&&... args) {
-#if NEWTOS_CHECKERS
     CheckSide(check_state_.producer_thread);
-#endif
     const size_t head = prod_.head.load(std::memory_order_relaxed);
     if (head - prod_.cached_tail > mask_) {
       prod_.cached_tail = cons_.tail.load(std::memory_order_acquire);
@@ -123,9 +114,7 @@ class SpscRing {
 
   // Attempts to dequeue.
   std::optional<T> TryPop() {
-#if NEWTOS_CHECKERS
     CheckSide(check_state_.consumer_thread);
-#endif
     const size_t tail = cons_.tail.load(std::memory_order_relaxed);
     if (cons_.cached_head == tail) {
       cons_.cached_head = prod_.head.load(std::memory_order_acquire);
@@ -143,9 +132,7 @@ class SpscRing {
   // Peeks without consuming (consumer thread only). Pointer valid until the
   // next TryPop.
   const T* Front() {
-#if NEWTOS_CHECKERS
     CheckSide(check_state_.consumer_thread);
-#endif
     const size_t tail = cons_.tail.load(std::memory_order_relaxed);
     if (cons_.cached_head == tail) {
       cons_.cached_head = prod_.head.load(std::memory_order_acquire);
@@ -158,9 +145,7 @@ class SpscRing {
 
   // True if the consumer currently sees an empty ring.
   bool EmptyConsumer() {
-#if NEWTOS_CHECKERS
     CheckSide(check_state_.consumer_thread);
-#endif
     const size_t tail = cons_.tail.load(std::memory_order_relaxed);
     if (cons_.cached_head == tail) {
       cons_.cached_head = prod_.head.load(std::memory_order_acquire);
@@ -173,15 +158,14 @@ class SpscRing {
     return prod_.head.load(std::memory_order_acquire) - cons_.tail.load(std::memory_order_relaxed);
   }
 
-#if NEWTOS_CHECKERS
-  // --- Thread-identity check (debug gate) ---
+  // --- Thread-identity check ---
   //
   // The first thread to touch each side owns it for the ring's lifetime; a
   // different thread showing up on an owned side is the SPSC contract
   // violation that turns this lock-free structure into a data race. Counted,
   // not asserted: the TSan harness (tests/spsc_tsan_test.cc) reads the
   // counter, and release builds compile asserts out anyway. Costs one
-  // relaxed load per operation; compiled away entirely without the macro.
+  // relaxed load per operation.
 
   uint64_t check_violations() const {
     return check_state_.check_violations.load(std::memory_order_relaxed);
@@ -203,7 +187,6 @@ class SpscRing {
     check_state_.producer_thread.store(0, std::memory_order_relaxed);
     check_state_.consumer_thread.store(0, std::memory_order_relaxed);
   }
-#endif
 
  private:
   struct Slot {
@@ -252,7 +235,6 @@ class SpscRing {
   ProducerCursor prod_;
   ConsumerCursor cons_;
 
-#if NEWTOS_CHECKERS
   static uint64_t ThreadToken() { return CurrentSpscThreadToken(); }
 
   void CheckSide(std::atomic<uint64_t>& owner) {
@@ -270,8 +252,8 @@ class SpscRing {
   // The identity tokens get their own line: the producer token is read on
   // every producer-side call, so leaving it on the consumer's line (where it
   // used to sit, right after cached_head) made every producer op pull a line
-  // the consumer dirties on every Pop — false sharing the checker build paid
-  // on the hot path it was checking.
+  // the consumer dirties on every Pop — false sharing the check paid on the
+  // hot path it was checking.
   struct alignas(kCacheLineBytes) CheckState {
     std::atomic<uint64_t> producer_thread{0};
     std::atomic<uint64_t> consumer_thread{0};
@@ -280,7 +262,6 @@ class SpscRing {
   static_assert(sizeof(CheckState) == kCacheLineBytes,
                 "checker identity tokens must occupy exactly one cache line");
   CheckState check_state_;
-#endif
 };
 
 }  // namespace newtos

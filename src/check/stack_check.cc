@@ -206,8 +206,6 @@ std::vector<std::string> CheckWaitCycles(const std::vector<WiredRing>& rings,
   return out;
 }
 
-#if NEWTOS_CHECKERS
-
 void StackChecker::Attach(MultiserverStack* stack) {
   if (check_ == nullptr || stack == nullptr) {
     return;
@@ -245,13 +243,5 @@ void StackChecker::AttachAs(Server* server, std::string_view role) {
     }
   }
 }
-
-#else  // !NEWTOS_CHECKERS
-
-void StackChecker::Attach(MultiserverStack*) {}
-void StackChecker::AttachServer(Server*) {}
-void StackChecker::AttachAs(Server*, std::string_view) {}
-
-#endif  // NEWTOS_CHECKERS
 
 }  // namespace newtos

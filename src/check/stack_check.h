@@ -16,9 +16,7 @@
 // server gets an actor identity, each owned input ring registers with the
 // checker, shared rings are declared with their table reasons, and a ring
 // with no row for the stack's configuration is a violation. After a run,
-// read the verdict off the ChannelChecker (ok() / Report()). Attach compiles
-// to a no-op when NEWTOS_CHECKERS is off, so fault campaigns can keep the
-// call sites unconditionally; the table checks are always built.
+// read the verdict off the ChannelChecker (ok() / Report()).
 
 #ifndef SRC_CHECK_STACK_CHECK_H_
 #define SRC_CHECK_STACK_CHECK_H_

@@ -18,7 +18,7 @@ Testbed::Testbed(const TestbedOptions& options) {
                                      options.stack.tcp_params);
 
   if (options.monolithic) {
-    mono_ = std::make_unique<MonolithicStack>(&sim_, machine_.get(), options.monolithic_core,
+    mono_ = std::make_unique<MonolithicStack>(&sim_, machine_.get(), kMonolithicCore,
                                               sut_addr_, options.monolithic_costs,
                                               options.stack.tcp_params);
   } else {

@@ -20,6 +20,9 @@
 
 namespace newtos {
 
+// The core the monolithic baseline runs on.
+inline constexpr int kMonolithicCore = 0;
+
 struct TestbedOptions {
   Machine::Params machine;          // SUT hardware
   StackConfig stack;                // multiserver stack configuration
@@ -31,7 +34,6 @@ struct TestbedOptions {
   // When true, build the monolithic baseline instead of the multiserver
   // stack (stack config's costs are ignored; MonolithicStack::Costs apply).
   bool monolithic = false;
-  int monolithic_core = 0;
   MonolithicCosts monolithic_costs;
 };
 

@@ -8,6 +8,20 @@
 #include "src/sim/random.h"
 
 namespace newtos {
+namespace {
+
+// Pre-sizes every lane's event queue and packet pool, so steady-state
+// traffic never regrows either.
+void ReserveLanes(LaneEngine& engine) {
+  constexpr size_t kEventReserve = 8192;   // per lane
+  constexpr size_t kPacketReserve = 8192;  // per lane
+  for (int i = 0; i < engine.lanes(); ++i) {
+    engine.lane(i).sim().ReserveEvents(kEventReserve);
+    engine.lane(i).pool().Reserve(kPacketReserve);
+  }
+}
+
+}  // namespace
 
 SwitchParams IncastFabricDefaults() {
   SwitchParams p;
@@ -64,10 +78,7 @@ struct UdpIncastBed::Client {
 UdpIncastBed::UdpIncastBed(const UdpIncastOptions& options)
     : options_(options), engine_(options.topo.lanes), fabric_(options.topo.fabric) {
   const IncastOptions& topo = options_.topo;
-  for (int i = 0; i < engine_.lanes(); ++i) {
-    engine_.lane(i).sim().ReserveEvents(topo.event_reserve);
-    engine_.lane(i).pool().Reserve(topo.packet_reserve);
-  }
+  ReserveLanes(engine_);
 
   Simulation& sut_sim = engine_.lane(0).sim();
   // lint:allow(heap-make): one-time testbed construction
@@ -173,10 +184,7 @@ struct TcpIncastBed::Client {
 TcpIncastBed::TcpIncastBed(const TcpIncastOptions& options)
     : options_(options), engine_(options.topo.lanes), fabric_(options.topo.fabric) {
   const IncastOptions& topo = options_.topo;
-  for (int i = 0; i < engine_.lanes(); ++i) {
-    engine_.lane(i).sim().ReserveEvents(topo.event_reserve);
-    engine_.lane(i).pool().Reserve(topo.packet_reserve);
-  }
+  ReserveLanes(engine_);
 
   Simulation& sut_sim = engine_.lane(0).sim();
   {
@@ -257,19 +265,7 @@ TcpStats TcpIncastBed::AggregateClientStats() const {
   TcpStats total;
   for (const auto& c : clients_) {  // clients_ index order == host-id order
     for (const TcpConnection* conn : c->peer->tcp().Connections()) {
-      const TcpStats& s = conn->stats();
-      total.segs_sent += s.segs_sent;
-      total.segs_rcvd += s.segs_rcvd;
-      total.bytes_sent += s.bytes_sent;
-      total.bytes_acked += s.bytes_acked;
-      total.bytes_received += s.bytes_received;
-      total.retransmits += s.retransmits;
-      total.timeouts += s.timeouts;
-      total.fast_retransmits += s.fast_retransmits;
-      total.dupacks_rcvd += s.dupacks_rcvd;
-      total.ooo_segments += s.ooo_segments;
-      total.sack_retransmits += s.sack_retransmits;
-      total.corrupt_segments_accepted += s.corrupt_segments_accepted;
+      total += conn->stats();
     }
   }
   return total;

@@ -72,8 +72,6 @@ struct IncastOptions {
   uint64_t seed = 42;
   SwitchParams fabric;      // see IncastFabricDefaults()
   Nic::Params client_nic;   // every client's adapter
-  size_t event_reserve = 8192;   // per lane
-  size_t packet_reserve = 8192;  // per lane
 };
 
 // Fabric tuned for the incast rigs: 10G ports, non-blocking backplane, 2us

@@ -22,9 +22,9 @@
 // Threading model: lane 0 is always driven by the caller's thread; lanes
 // 1..N-1 get persistent worker threads (created at construction, parked
 // between runs). Persistent workers keep thread identity stable across
-// RunUntil calls — the SPSC ring's NEWTOS_CHECKERS thread-identity check
-// and the ChannelChecker actor scopes stay valid because every object a
-// lane owns is only ever touched by that lane's one thread. Each worker
+// RunUntil calls — the SPSC ring's thread-identity check and the
+// ChannelChecker actor scopes stay valid because every object a lane owns
+// is only ever touched by that lane's one thread. Each worker
 // binds its lane's PacketPool for the duration of a run
 // (PacketPool::ScopedUse), so packet recycling never contends across lanes.
 //

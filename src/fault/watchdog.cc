@@ -75,12 +75,10 @@ bool WatchdogServer::AnotherServerRebootingOn(const Core* core, const Server* se
 }
 
 void WatchdogServer::EmitProbes() {
-#if NEWTOS_CHECKERS
   // This runs from a core Execute() callback, outside the base class's burst
   // path — scope the identity by hand or every probe pushes anonymously and
   // the wd rings never see their producer.
   ChannelChecker::ScopedActor check_scope(check(), check_actor());
-#endif
   ++seq_;
   for (const Watched& w : watched_) {
     Msg probe;

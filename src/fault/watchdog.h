@@ -17,9 +17,9 @@
 // frequencies the paper sweeps: slowing the stack 3x barely moves time-to-
 // detect, and only stretches the reboot tail.
 //
-// The watchdog is itself a Server pinned to a core (StackConfig::
-// watchdog_core by convention — the app core, since probe traffic is tiny),
-// so its probes and ack processing cost cycles like everything else.
+// The watchdog is itself a Server pinned to a core (kWatchdogCore by
+// convention — the app core, since probe traffic is tiny), so its probes and
+// ack processing cost cycles like everything else.
 
 #ifndef SRC_FAULT_WATCHDOG_H_
 #define SRC_FAULT_WATCHDOG_H_
@@ -32,6 +32,12 @@
 #include "src/os/server.h"
 
 namespace newtos {
+
+// Core the fault tooling pins a WatchdogServer to. Placement only — the stack
+// itself never builds a watchdog. It shares the app core: heartbeat traffic
+// is tiny and must not steal cycles from the stack stages whose liveness it
+// measures.
+inline constexpr int kWatchdogCore = 0;
 
 class WatchdogServer : public Server {
  public:

@@ -85,6 +85,26 @@ struct TcpStats {
   // per-server RX check) must keep this at zero; the fault-campaign
   // invariants fail a run where it is not.
   uint64_t corrupt_segments_accepted = 0;
+
+  // Field-wise sum, for aggregating over connections.
+  TcpStats& operator+=(const TcpStats& o) {
+    static_assert(sizeof(TcpStats) == 13 * sizeof(uint64_t),
+                  "TcpStats gained or lost a field: update operator+=");
+    segs_sent += o.segs_sent;
+    segs_rcvd += o.segs_rcvd;
+    bytes_sent += o.bytes_sent;
+    bytes_acked += o.bytes_acked;
+    bytes_received += o.bytes_received;
+    retransmits += o.retransmits;
+    timeouts += o.timeouts;
+    fast_retransmits += o.fast_retransmits;
+    dupacks_rcvd += o.dupacks_rcvd;
+    ooo_segments += o.ooo_segments;
+    sack_retransmits += o.sack_retransmits;
+    tlp_probes += o.tlp_probes;
+    corrupt_segments_accepted += o.corrupt_segments_accepted;
+    return *this;
+  }
 };
 
 // One direction-pair TCP connection bound to a flow key. Demultiplexing and

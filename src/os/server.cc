@@ -109,7 +109,6 @@ void Server::NotifyIdleChange(bool idle) {
   }
 }
 
-#if NEWTOS_CHECKERS
 void Server::EnableCheck(ChannelChecker* check, uint32_t actor) {
   check_ = check;
   check_actor_ = actor;
@@ -120,18 +119,15 @@ void Server::EnableCheck(ChannelChecker* check, uint32_t actor) {
     check->BindConsumer(ch.get(), actor);
   }
 }
-#endif
 
 void Server::MaybeSchedule() {
   if (processing_ || crashed_ || hung_) {
     return;
   }
   assert(core_ != nullptr && "server must be bound to a core before traffic flows");
-#if NEWTOS_CHECKERS
   // The burst drain below Pops this server's own inputs: that is this
   // server's consumer identity as far as the protocol checker is concerned.
   ChannelChecker::ScopedActor check_scope(check_, check_actor_);
-#endif
   WorkSource* src = PickSource();
   if (src == nullptr) {
     NotifyIdleChange(true);  // not processing, and PickSource found every source empty
@@ -170,11 +166,9 @@ void Server::MaybeSchedule() {
     if (gen != generation_) {
       return;  // the server crashed (and possibly restarted) mid-flight
     }
-#if NEWTOS_CHECKERS
     // Handle() pushes into downstream rings: the producer identity of every
     // Emit in this burst is this server.
     ChannelChecker::ScopedActor emit_scope(check_, check_actor_);
-#endif
     // Swap into the scratch buffer before handling: a crash inside Handle()
     // clears batch_ but must not disturb the burst being iterated.
     executing_.swap(batch_);
@@ -285,10 +279,8 @@ void Server::Crash() {
   if (TraceOn(trace_.rec)) {
     trace_.rec->Instant(sim_->Now(), trace_.track, trace_.crash);
   }
-#if NEWTOS_CHECKERS
   // Draining dead inputs to the floor is still this server consuming them.
   ChannelChecker::ScopedActor check_scope(check_, check_actor_);
-#endif
   for (auto& ch : owned_inputs_) {
     while (auto m = ch->Pop()) {
       ++messages_lost_to_crash_;

@@ -192,13 +192,11 @@ class Server {
   // the traffic it interrupts.
   void EnableTrace(const ServerTraceHooks& hooks) { trace_ = hooks; }
 
-#if NEWTOS_CHECKERS
   // Wires the channel-protocol checker (src/check): every input this server
   // owns registers with it, and all draining/handling runs under `actor`'s
   // identity so the checker can bind one producer and one consumer to each
   // ring. Call after construction, once the inputs exist.
   void EnableCheck(ChannelChecker* check, uint32_t actor);
-#endif
 
  protected:
   // Cycle cost of fully processing `msg` (dequeue + work + output enqueues).
@@ -216,13 +214,11 @@ class Server {
   // protocols recover, exactly as with a full real ring).
   static bool Emit(Chan* out, Msg msg) { return out->Push(std::move(msg)); }
 
-#if NEWTOS_CHECKERS
   // For subclasses that Emit from their own timer callbacks (outside the
   // burst path, where the base class cannot scope the identity for them) —
   // the watchdog's probe tick is the one case today.
   ChannelChecker* check() const { return check_; }
   uint32_t check_actor() const { return check_actor_; }
-#endif
 
  private:
   // Reports `idle` (what Idle() returns now) to the observer if it changed.
@@ -290,10 +286,8 @@ class Server {
   uint64_t heartbeats_acked_ = 0;
   bool last_reported_idle_ = true;
   std::function<void(bool)> idle_observer_;
-#if NEWTOS_CHECKERS
   ChannelChecker* check_ = nullptr;
   uint32_t check_actor_ = 0;
-#endif
 };
 
 }  // namespace newtos

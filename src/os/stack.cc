@@ -16,8 +16,12 @@ MultiserverStack::MultiserverStack(Simulation* sim, Machine* machine, const Stac
     config_.use_syscall_gateway = true;  // sharding requires the routing gateway
   }
 
-  sim_->ReserveEvents(config_.event_reserve);
-  PacketPool::Current().Reserve(config_.packet_reserve);
+  // Pre-size the event queue and the process-wide packet pool to their
+  // high-water marks, so steady-state traffic never regrows either.
+  constexpr size_t kEventReserve = 4096;
+  constexpr size_t kPacketReserve = 4096;
+  sim_->ReserveEvents(kEventReserve);
+  PacketPool::Current().Reserve(kPacketReserve);
 
   driver_ = std::make_unique<DriverServer>(sim_, machine_->nic(), config_.driver, cap, cc);
   ip_ = std::make_unique<IpServer>(sim_, config_.addr, config_.ip, cap, cc);

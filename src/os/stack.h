@@ -62,20 +62,8 @@ struct StackConfig {
   size_t chan_capacity = 1024;
   ChannelCostModel chan_cost;
 
-  // Pre-sizing hints for the engine's pooled fast path: the event queue and
-  // the process-wide packet pool are reserved to these high-water marks when
-  // the stack is built, so steady-state traffic never regrows either.
-  size_t event_reserve = 4096;
-  size_t packet_reserve = 4096;
-
   // Cold-cache penalty when co-located servers alternate on one core.
   Cycles tenant_switch_cycles = 250;
-
-  // Core the fault tooling pins a WatchdogServer to (src/fault/watchdog.h).
-  // Placement only — the stack itself never builds a watchdog. The default
-  // shares the app core: heartbeat traffic is tiny and must not steal cycles
-  // from the stack stages whose liveness it measures.
-  int watchdog_core = 0;
 
   DriverCosts driver;
   IpCosts ip;

@@ -59,7 +59,7 @@ class ServerContext {
       idle_streak_ = 0;
       return;
     }
-    if (PollAlways() || ++idle_streak_ < SpinBudget()) {
+    if (PollAlways() || ++idle_streak_ < kSpinIterations) {
       return;
     }
     const uint32_t e = gate_.PrepareWait();
@@ -75,8 +75,12 @@ class ServerContext {
  private:
   friend class RuntimeEngine;
 
+  // Empty loops before a kHaltWhenIdle server parks. The grace period is
+  // counted in loop iterations, not time: the live loop has no event queue
+  // to measure against, and one iteration is roughly tens of nanoseconds.
+  static constexpr uint32_t kSpinIterations = 4096;
+
   bool PollAlways() const;
-  uint32_t SpinBudget() const;
 
   std::string name_;
   RuntimeEngine* engine_ = nullptr;
@@ -149,7 +153,6 @@ inline bool ServerContext::StopRequested() const { return engine_->stop_requeste
 inline bool ServerContext::PollAlways() const {
   return engine_->policy().mode == PollMode::kPollAlways;
 }
-inline uint32_t ServerContext::SpinBudget() const { return engine_->policy().spin_iterations; }
 
 }  // namespace newtos
 

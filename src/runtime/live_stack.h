@@ -85,20 +85,9 @@ struct LiveStackConfig {
   size_t ring_capacity = 256;         // slots per data/ack ring
   uint32_t window_bytes = 64 * 1460;  // tcp in-flight cap (cumulative acks)
   bool mini = false;                  // 3-server stack (app, tcp, peer)
-  bool pin_threads = true;            // role i -> cpu first_cpu + i, if it exists
-  int first_cpu = 0;
-  // Pin budget for core sweeps: roles whose cpu would be >= the limit run
-  // unpinned instead (never aliased onto a taken core). -1 = no limit.
-  int pin_cpu_limit = -1;
+  bool pin_threads = true;            // role i -> cpu i, if it exists
   RuntimePollPolicy poll;
-  bool verify_payload = true;         // peer checks every byte vs the pattern
   bool enable_trace = false;          // per-thread recorders, e2e async hops
-  size_t trace_capacity = 1 << 14;
-  uint64_t timeout_ns = 30'000'000'000ULL;  // watchdog deadline for the run
-  // Self-clocked heartbeat rounds the watchdog drives before going quiet
-  // (bounded so the liveness traffic cannot starve the transfer on small
-  // hosts; 0 disables heartbeats entirely).
-  uint32_t heartbeat_rounds = 64;
 };
 
 // Post-join counters for one ring, for reporting and the ChannelChecker.
@@ -108,7 +97,7 @@ struct LiveRingStats {
   uint64_t pops = 0;
   uint64_t full_retries = 0;
   uint64_t residue = 0;    // slots still occupied post-join (must be 0)
-  uint64_t imposters = 0;  // SpscRing identity violations (NEWTOS_CHECKERS)
+  uint64_t imposters = 0;  // SpscRing first-touch identity violations
 };
 
 struct LiveStackResult {
@@ -125,8 +114,8 @@ struct LiveStackResult {
 
   // Observed wiring in the canonical text format ("ring <name> consumer=<c>
   // producers=<p>", sorted by ring name): each ring's first-touch thread
-  // tokens mapped back to role names. Empty when NEWTOS_CHECKERS is off, or
-  // for a side no thread ever touched. The wiring-equivalence gate compares
+  // tokens mapped back to role names; a side no thread ever touched has no
+  // name. The wiring-equivalence gate compares
   // this against the static table (src/runtime/live_wiring.h).
   std::string wiring;
 

@@ -80,13 +80,10 @@ class IdleGate {
   std::atomic<bool> parked_{false};
 };
 
-// The live backend's poll policy: reuses the simulator's PollMode axis, with
-// the grace period expressed in empty loop iterations instead of SimTime
-// (the live loop has no event queue to measure against; iterations are the
-// natural spin unit and translate to roughly tens of nanoseconds each).
+// The live backend's poll policy: reuses the simulator's PollMode axis. Its
+// grace period before parking is ServerContext::kSpinIterations empty loops.
 struct RuntimePollPolicy {
   PollMode mode = PollMode::kHaltWhenIdle;
-  uint32_t spin_iterations = 4096;  // empty loops before parking
 };
 
 }  // namespace newtos

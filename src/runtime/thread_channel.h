@@ -10,10 +10,9 @@
 // on the consumer's line.
 //
 // Threading contract: exactly one producer thread and one consumer thread,
-// the same contract the underlying SpscRing enforces (and, under
-// NEWTOS_CHECKERS, actually checks — imposters() surfaces the ring's
-// first-touch identity violations so the live stack can report them through
-// the ChannelChecker).
+// the same contract the underlying SpscRing checks: imposters() surfaces the
+// ring's first-touch identity violations so the live stack can report them
+// through the ChannelChecker.
 
 #ifndef SRC_RUNTIME_THREAD_CHANNEL_H_
 #define SRC_RUNTIME_THREAD_CHANNEL_H_
@@ -91,21 +90,13 @@ class ThreadChannel {
   uint64_t full_retries() const { return prod_stats_.full_retries; }
   size_t Residue() const { return ring_.SizeProducer(); }
 
-  uint64_t imposters() const {
-#if NEWTOS_CHECKERS
-    return ring_.check_violations();
-#else
-    return 0;
-#endif
-  }
+  uint64_t imposters() const { return ring_.check_violations(); }
 
-#if NEWTOS_CHECKERS
   // First-touch side owners from the ring's identity check (0 = never
   // touched). Post-join, these map back to role names via the tokens each
   // server thread recorded for itself — the observed-wiring export.
   uint64_t producer_token() const { return ring_.producer_token(); }
   uint64_t consumer_token() const { return ring_.consumer_token(); }
-#endif
 
  private:
   SpscRing<T> ring_;

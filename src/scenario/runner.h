@@ -73,7 +73,8 @@ struct ScenarioOutcome {
   // The campaign verdict for this run.
   CampaignCell cell;
 
-  // (name, value) for every kCounterNames entry, in that order.
+  // (name, value) for every counter the rig measures, in its list's order:
+  // kCounterNames for the p2p rig, kIncastCounterNames for the incast rig.
   std::vector<std::pair<std::string, uint64_t>> counters;
   std::vector<ExpectResult> expects;
 

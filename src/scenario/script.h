@@ -114,11 +114,11 @@ inline constexpr const char* kCounterNames[] = {
 inline constexpr size_t kNumCounters = sizeof(kCounterNames) / sizeof(kCounterNames[0]);
 
 // The subset of kCounterNames the incast rig measures: its clients' TCP
-// stats, delivered bytes and established connections. The others count the
-// p2p testbed's NICs, fault injector and watchdog, which an incast script
-// has none of; the runner reports them as 0, so the parser rejects an
-// `expect counter` on them in an incast script rather than let it pass
-// vacuously.
+// stats, delivered bytes and established connections, and the runner
+// publishes exactly these for it. The others count the p2p testbed's NICs,
+// fault injector and watchdog, which an incast script has none of, so the
+// parser rejects an `expect counter` on them in an incast script rather than
+// let it pass vacuously.
 inline constexpr const char* kIncastCounterNames[] = {
     "delivered",        "retransmits",  "timeouts",         "fast_retransmits", "sack_retransmits",
     "tlp_probes",       "ooo_segments", "corrupt_accepted", "established",

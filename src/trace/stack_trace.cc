@@ -13,6 +13,9 @@ constexpr int kNicRank = 10;
 constexpr int kCoreRank = 1000;
 constexpr int kSimRank = 2000;
 
+// Period of the counter samplers.
+constexpr SimTime kSampleInterval = 100 * kMicrosecond;
+
 }  // namespace
 
 StackTracer::StackTracer(Simulation* sim, MultiserverStack* stack)
@@ -64,17 +67,16 @@ void StackTracer::WireCore(Core* core) {
   // Utilization: percent of the sample interval the core spent busy, from
   // the busy-time delta between ticks. A mid-run stats reset (WarmUp) makes
   // one delta negative; clamp it rather than report nonsense.
-  const SimTime interval = options_.sample_interval;
-  samplers_.Add(track, util_, [core, interval, prev = SimTime{0}]() mutable {
+  samplers_.Add(track, util_, [core, prev = SimTime{0}]() mutable {
     const SimTime busy = core->busy_time();
     SimTime delta = busy - prev;
     prev = busy;
     if (delta < 0) {
       delta = 0;
-    } else if (delta > interval) {
-      delta = interval;  // queued-ahead work accrues at submit; cap at 100%
+    } else if (delta > kSampleInterval) {
+      delta = kSampleInterval;  // queued-ahead work accrues at submit; cap at 100%
     }
-    return interval > 0 ? delta * 100 / interval : 0;
+    return delta * 100 / kSampleInterval;
   });
 }
 
@@ -120,7 +122,7 @@ void StackTracer::AddMicroreboot(MicrorebootManager* mgr) {
 void StackTracer::Enable() {
   rec_.set_enabled(true);
   if (options_.samplers) {
-    samplers_.Start(options_.sample_interval);
+    samplers_.Start(kSampleInterval);
   }
 }
 

@@ -38,7 +38,6 @@ class StackTracer {
   struct Options {
     size_t ring_capacity = 1 << 20;  // 32 MiB of events; ring keeps the tail
     bool samplers = true;            // counter sampling (adds sim events)
-    SimTime sample_interval = 100 * kMicrosecond;
   };
 
   StackTracer(Simulation* sim, MultiserverStack* stack);  // default Options

@@ -18,10 +18,6 @@
 #include "src/trace/stack_trace.h"
 #include "src/workload/iperf.h"
 
-#if !NEWTOS_CHECKERS
-#error "channel_checker_test requires NEWTOS_CHECKERS (on by default)"
-#endif
-
 namespace newtos {
 namespace {
 
@@ -350,7 +346,7 @@ TEST(StackCheck, WatchdogRecoveryKeepsIdentitiesStable) {
   RunningIperf load(tb);
   MicrorebootManager mgr(&tb.sim());
   WatchdogServer watchdog(&tb.sim(), &mgr, WatchdogServer::Params());
-  watchdog.BindCore(tb.machine().core(tb.stack()->config().watchdog_core));
+  watchdog.BindCore(tb.machine().core(kWatchdogCore));
   for (Server* s : tb.stack()->SystemServers()) {
     watchdog.Watch(s, 1'000'000);
   }

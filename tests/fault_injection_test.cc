@@ -128,7 +128,7 @@ struct RecoveryPlane {
   explicit RecoveryPlane(Testbed& tb)
       : mgr(&tb.sim()), watchdog(&tb.sim(), &mgr, WatchdogServer::Params()) {
     MultiserverStack* stack = tb.stack();
-    watchdog.BindCore(tb.machine().core(stack->config().watchdog_core));
+    watchdog.BindCore(tb.machine().core(kWatchdogCore));
     for (Server* s : stack->SystemServers()) {
       watchdog.Watch(s, stack->RestartCycles(s));
     }

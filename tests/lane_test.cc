@@ -238,6 +238,17 @@ TcpRun RunTcp(int lanes) {
   return r;
 }
 
+// The client aggregate carries every TcpStats field: with tail loss probes on,
+// the lossy 4-client incast fires some, and the aggregate must count them.
+TEST(TcpIncast, AggregateCountsTailLossProbes) {
+  TcpIncastOptions o = TcpOptions(1);
+  o.stack.tcp_params.tail_loss_probe = true;
+  TcpIncastBed bed(o);
+  bed.Start();
+  bed.RunFor(60 * kMillisecond);
+  EXPECT_GT(bed.AggregateClientStats().tlp_probes, 0u);
+}
+
 TEST(LaneEquivalence, TcpIncastIdenticalAcrossLaneCounts) {
   const TcpRun oracle = RunTcp(1);
   ASSERT_EQ(oracle.established, 4);

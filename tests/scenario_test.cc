@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <iterator>
 #include <string>
 
 #include "src/scenario/parser.h"
@@ -104,6 +105,11 @@ TEST(ScenarioRunnerTest, IncastDigestIsLaneCountInvariant) {
       digest1 = o.cell.digest;
       delivered1 = o.cell.delivered;
       EXPECT_NE(digest1, 0u);
+      // The incast rig publishes exactly the counters it measures.
+      ASSERT_EQ(o.counters.size(), std::size(kIncastCounterNames));
+      for (size_t i = 0; i < o.counters.size(); ++i) {
+        EXPECT_EQ(o.counters[i].first, kIncastCounterNames[i]);
+      }
     } else {
       EXPECT_EQ(o.cell.digest, digest1) << "lanes=" << lanes;
       EXPECT_EQ(o.cell.delivered, delivered1) << "lanes=" << lanes;

@@ -127,8 +127,6 @@ TEST(SpscTsan, PingPongBouncesEveryMessage) {
   echo.join();
 }
 
-#if NEWTOS_CHECKERS
-
 TEST(SpscTsan, SecondProducerThreadIsFlagged) {
   // Identity violation without an actual data race: the pushes are
   // serialized through the release/acquire flag, so TSan stays quiet — but
@@ -189,8 +187,6 @@ TEST(SpscTsan, ResetCheckOwnersAllowsHandOff) {
   worker.join();
   EXPECT_EQ(ring.check_violations(), 0u);
 }
-
-#endif  // NEWTOS_CHECKERS
 
 // --- Live mini-stack under TSan ---
 //

@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstddef>
+#include <cstring>
 #include <deque>
 #include <memory>
 
@@ -570,6 +572,31 @@ TEST_P(TcpLossSweep, CompletesUnderLoss) {
 }
 
 INSTANTIATE_TEST_SUITE_P(LossRates, TcpLossSweep, ::testing::Values(0, 1, 2, 5, 10, 15));
+
+// Aggregators sum connections with operator+=, so a field it skipped would
+// read 0 in every aggregate. Each field gets a distinct value, and the sum
+// must be field-wise whatever the field order.
+TEST(TcpStats, SumCarriesEveryField) {
+  constexpr size_t kFields = sizeof(TcpStats) / sizeof(uint64_t);
+  uint64_t a[kFields];
+  uint64_t b[kFields];
+  for (size_t i = 0; i < kFields; ++i) {
+    a[i] = i + 1;
+    b[i] = 1000 * (i + 1);
+  }
+  TcpStats x;
+  TcpStats y;
+  std::memcpy(&x, a, sizeof(x));
+  std::memcpy(&y, b, sizeof(y));
+  x += y;
+  uint64_t sum[kFields];
+  std::memcpy(sum, &x, sizeof(x));
+  for (size_t i = 0; i < kFields; ++i) {
+    EXPECT_EQ(sum[i], 1001 * (i + 1)) << "TcpStats field " << i;
+  }
+  constexpr size_t kTlp = offsetof(TcpStats, tlp_probes) / sizeof(uint64_t);
+  EXPECT_EQ(x.tlp_probes, a[kTlp] + b[kTlp]);
+}
 
 }  // namespace
 }  // namespace newtos

@@ -25,10 +25,6 @@
 #include "src/workload/iperf.h"
 #include "src/workload/udp_flood.h"
 
-#if !NEWTOS_CHECKERS
-#error "wiring_equiv_test requires NEWTOS_CHECKERS (on by default)"
-#endif
-
 namespace newtos {
 namespace {
 
@@ -143,7 +139,7 @@ void ExpectDesMatchesTable(bool use_pf, bool gateway) {
   SocketApi* api = tb.stack()->CreateApp("app", tb.machine().core(0));
   MicrorebootManager mgr(&tb.sim());
   WatchdogServer watchdog(&tb.sim(), &mgr, WatchdogServer::Params());
-  watchdog.BindCore(tb.machine().core(tb.stack()->config().watchdog_core));
+  watchdog.BindCore(tb.machine().core(kWatchdogCore));
   for (Server* s : tb.stack()->SystemServers()) {
     watchdog.Watch(s, 1'000'000);  // Watch() before Attach(): wd rings must exist
   }
