@@ -13,8 +13,16 @@
 // touches a single shared line only when the cache runs dry (the classic
 // optimization from Lee et al. / FastForward / Lamport queues).
 //
-// The same class is used from real threads (tests, bench/tab3, src/host) —
-// it is a genuinely concurrent structure, not simulation-only code.
+// Element traffic: a push checks for space first and then constructs the
+// slot once, from a const reference, an rvalue (TryPush) or constructor
+// arguments (TryEmplace); a full ring copies nothing. The consumer either
+// moves the element out (TryPop) or uses it where it lies and then releases
+// the slot (Front + PopFront). For large fixed-slot messages that makes a
+// hop one slot write and one slot read.
+//
+// The same class is used from real threads (tests, bench/tab3, src/host,
+// the live backend's ThreadChannel) — it is a genuinely concurrent
+// structure, not simulation-only code.
 
 #ifndef SRC_CHAN_SPSC_RING_H_
 #define SRC_CHAN_SPSC_RING_H_
@@ -74,22 +82,15 @@ class SpscRing {
 
   // --- Producer side (one thread only) ---
 
-  // Attempts to enqueue; returns false if the ring is full.
-  bool TryPush(T value) {
-    CheckSide(check_state_.producer_thread);
-    const size_t head = prod_.head.load(std::memory_order_relaxed);
-    if (head - prod_.cached_tail > mask_) {
-      prod_.cached_tail = cons_.tail.load(std::memory_order_acquire);
-      if (head - prod_.cached_tail > mask_) {
-        return false;
-      }
-    }
-    slots_[head & mask_].Construct(std::move(value));
-    prod_.head.store(head + 1, std::memory_order_release);
-    return true;
-  }
+  // Attempts to enqueue; returns false if the ring is full. Space is checked
+  // before the value is touched, so a failed push copies (or moves) nothing
+  // and a successful one constructs the slot exactly once: for the live
+  // stack's 1,488-byte RtMsg, one slot write per hop.
+  bool TryPush(const T& value) { return TryEmplace(value); }
+  bool TryPush(T&& value) { return TryEmplace(std::move(value)); }
 
-  // Constructs in place; returns false if full.
+  // Constructs T(args...) directly in the slot; returns false if full,
+  // leaving `args` untouched.
   template <typename... Args>
   bool TryEmplace(Args&&... args) {
     CheckSide(check_state_.producer_thread);
@@ -100,7 +101,7 @@ class SpscRing {
         return false;
       }
     }
-    slots_[head & mask_].Construct(T(std::forward<Args>(args)...));
+    slots_[head & mask_].Construct(std::forward<Args>(args)...);
     prod_.head.store(head + 1, std::memory_order_release);
     return true;
   }
@@ -130,7 +131,7 @@ class SpscRing {
   }
 
   // Peeks without consuming (consumer thread only). Pointer valid until the
-  // next TryPop.
+  // next TryPop or PopFront.
   const T* Front() {
     CheckSide(check_state_.consumer_thread);
     const size_t tail = cons_.tail.load(std::memory_order_relaxed);
@@ -141,6 +142,18 @@ class SpscRing {
       }
     }
     return &slots_[tail & mask_].value();
+  }
+
+  // Consumes the element the last Front() returned (consumer thread only;
+  // Front() must have returned non-null since the last pop). Together they
+  // are the in-place consume: read or forward the slot where it lies, then
+  // release it, with no copy out of the ring.
+  void PopFront() {
+    CheckSide(check_state_.consumer_thread);
+    const size_t tail = cons_.tail.load(std::memory_order_relaxed);
+    assert(cons_.cached_head != tail && "PopFront on a ring Front() saw empty");
+    slots_[tail & mask_].Destroy();
+    cons_.tail.store(tail + 1, std::memory_order_release);
   }
 
   // True if the consumer currently sees an empty ring.
@@ -191,7 +204,10 @@ class SpscRing {
  private:
   struct Slot {
     alignas(T) unsigned char storage[sizeof(T)];
-    void Construct(T&& v) { ::new (static_cast<void*>(storage)) T(std::move(v)); }
+    template <typename... Args>
+    void Construct(Args&&... args) {
+      ::new (static_cast<void*>(storage)) T(std::forward<Args>(args)...);
+    }
     T& value() { return *std::launder(reinterpret_cast<T*>(storage)); }
     void Destroy() { value().~T(); }
   };

@@ -34,22 +34,22 @@ bool ServiceWd(ServerContext& ctx, WdPort& wd, bool* wd_done) {
     return false;
   }
   bool work = false;
-  while (std::optional<RtMsg> m = wd.in->TryPop()) {
+  while (const RtMsg* m = wd.in->Front()) {
     work = true;
-    if (m->type == RtMsg::Type::kHeartbeat) {
-      RtMsg ack;
-      ack.type = RtMsg::Type::kHeartbeatAck;
-      ack.seq = m->seq;
+    const RtMsg::Type type = m->type;
+    const uint32_t round = m->seq;
+    wd.in->PopFront();
+    if (type == RtMsg::Type::kHeartbeat) {
       // The one sanctioned spin: the watchdog always drains its ack rings and
       // never blocks back on this server, so the wait is bounded (the "*/wd"
       // row of kLiveBlockingRings in live_wiring.h).
       // lint:allow(blocking-push): watchdog always drains acks; bounded wait
-      while (!wd.out->TryPush(ack)) {
+      while (!wd.out->TryEmplace(RtMsg::Type::kHeartbeatAck, round)) {
         if (ctx.StopRequested()) {
           return work;
         }
       }
-    } else if (m->type == RtMsg::Type::kShutdown) {
+    } else if (type == RtMsg::Type::kShutdown) {
       *wd_done = true;
     }
   }
@@ -88,10 +88,11 @@ struct WdOut {
 
 // --- Server bodies -------------------------------------------------------
 //
-// Every body follows the same shape: a non-blocking service loop (full
-// outputs land in a one-slot pending buffer, never a blocked push), a
-// ServiceWd step, and ctx.Idle() with a recheck that mirrors exactly the
-// conditions under which the loop could make progress.
+// Every body follows the same shape: a non-blocking service loop (a message
+// bound for a full output stays in its input ring, or for a generated ack in
+// a one-slot pending buffer, never a blocked push), a ServiceWd step, and
+// ctx.Idle() with a recheck that mirrors exactly the conditions under which
+// the loop could make progress.
 
 void AppBody(ServerContext& ctx, SharedState* sh, ThreadChannel<RtMsg>* out, WdPort wd,
              TraceRecorder* rec, TrackId track, NameId e2e) {
@@ -117,9 +118,7 @@ void AppBody(ServerContext& ctx, SharedState* sh, ThreadChannel<RtMsg>* out, WdP
         m.len = static_cast<uint16_t>(len);
         m.seq = seq;
         m.stream_off = off;
-        for (uint32_t i = 0; i < len; ++i) {
-          m.payload[i] = RtPatternByte(off + i);
-        }
+        FillRtPayload(m, off, len);
         msg_ready = true;
       }
       m.born_ns = sh->clock.NowNs();
@@ -133,10 +132,7 @@ void AppBody(ServerContext& ctx, SharedState* sh, ThreadChannel<RtMsg>* out, WdP
         work = true;
       }
     } else if (!shutdown_sent) {
-      RtMsg s;
-      s.type = RtMsg::Type::kShutdown;
-      s.seq = seq;
-      if (out->TryPush(s)) {
+      if (out->TryEmplace(RtMsg::Type::kShutdown, seq)) {
         shutdown_sent = true;
         work = true;
       }
@@ -155,7 +151,6 @@ void TcpBody(ServerContext& ctx, SharedState* sh, ThreadChannel<RtMsg>* data_in,
   bool fwd_shutdown = false;   // data-path shutdown forwarded downstream
   bool ack_shutdown = false;   // ack-path shutdown received (all data acked)
   bool wd_done = !wd.active();
-  std::optional<RtMsg> pending;
 
   // A data segment is admissible when it fits the in-flight window (acks
   // are cumulative byte counts from the peer). Shutdown rides behind the
@@ -170,42 +165,30 @@ void TcpBody(ServerContext& ctx, SharedState* sh, ThreadChannel<RtMsg>* data_in,
       return;
     }
     bool work = false;
-    while (std::optional<RtMsg> a = ack_in->TryPop()) {
+    while (const RtMsg* a = ack_in->Front()) {
       work = true;
       if (a->type == RtMsg::Type::kAck) {
         acked_bytes = std::max(acked_bytes, a->stream_off);
       } else if (a->type == RtMsg::Type::kShutdown) {
         ack_shutdown = true;
       }
+      ack_in->PopFront();
     }
-    if (pending && data_out->TryPush(*pending)) {
-      if (pending->type == RtMsg::Type::kShutdown) {
-        fwd_shutdown = true;
-      }
-      pending.reset();
-      work = true;
-    }
-    while (!pending && !fwd_shutdown) {
+    // Slot to slot: a segment leaves data_in only once data_out took it, so
+    // a full output leaves it where it lies and the loop moves on.
+    while (!fwd_shutdown) {
       const RtMsg* front = data_in->Front();
-      if (front == nullptr || !admissible(*front)) {
+      if (front == nullptr || !admissible(*front) || !data_out->TryPush(*front)) {
         break;
       }
-      RtMsg msg = *data_in->TryPop();
+      fwd_shutdown = front->type == RtMsg::Type::kShutdown;
+      data_in->PopFront();
       work = true;
-      const bool is_shutdown = msg.type == RtMsg::Type::kShutdown;
-      if (!data_out->TryPush(msg)) {
-        pending = msg;
-      } else if (is_shutdown) {
-        fwd_shutdown = true;
-      }
     }
     work |= ServiceWd(ctx, wd, &wd_done);
     ctx.Idle(work, [&] {
       if (!ack_in->EmptyConsumer() || WdHasInput(wd)) {
         return true;
-      }
-      if (pending) {
-        return data_out->HasSpaceProducer();
       }
       if (!fwd_shutdown) {
         const RtMsg* front = data_in->Front();
@@ -217,43 +200,28 @@ void TcpBody(ServerContext& ctx, SharedState* sh, ThreadChannel<RtMsg>* data_in,
 }
 
 // Bidirectional store-and-forward: the live ip server shuttles data down
-// and acks up, one pending slot per direction.
+// and acks up, slot to slot.
 struct ForwardDir {
   ThreadChannel<RtMsg>* in = nullptr;
   ThreadChannel<RtMsg>* out = nullptr;
-  std::optional<RtMsg> pending;
   bool shutdown_forwarded = false;
 };
 
 bool ForwardStep(ForwardDir& d) {
   bool work = false;
-  if (d.pending && d.out->TryPush(*d.pending)) {
-    if (d.pending->type == RtMsg::Type::kShutdown) {
-      d.shutdown_forwarded = true;
-    }
-    d.pending.reset();
-    work = true;
-  }
-  while (!d.pending && !d.shutdown_forwarded) {
-    std::optional<RtMsg> m = d.in->TryPop();
-    if (!m) {
+  while (!d.shutdown_forwarded) {
+    const RtMsg* m = d.in->Front();
+    if (m == nullptr || !d.out->TryPush(*m)) {
       break;
     }
+    d.shutdown_forwarded = m->type == RtMsg::Type::kShutdown;
+    d.in->PopFront();
     work = true;
-    const bool is_shutdown = m->type == RtMsg::Type::kShutdown;
-    if (!d.out->TryPush(*m)) {
-      d.pending = *m;
-    } else if (is_shutdown) {
-      d.shutdown_forwarded = true;
-    }
   }
   return work;
 }
 
 bool ForwardCanProgress(ForwardDir& d) {
-  if (d.pending) {
-    return d.out->HasSpaceProducer();
-  }
   return !d.shutdown_forwarded && !d.in->EmptyConsumer() && d.out->HasSpaceProducer();
 }
 
@@ -276,29 +244,34 @@ void PeerBody(ServerContext& ctx, SharedState* sh, ThreadChannel<RtMsg>* data_in
               ThreadChannel<RtMsg>* ack_out, WdPort wd, PeerOut* out, TraceRecorder* rec,
               TrackId track, NameId e2e) {
   bool wd_done = !wd.active();
+  // An ack or shutdown echo the full ack ring refused, header only.
   std::optional<RtMsg> pending_ack;
+  auto send_ack = [&](RtMsg::Type type, uint32_t seq, uint64_t stream_off) {
+    if (!ack_out->TryEmplace(type, seq, stream_off)) {
+      pending_ack.emplace(type, seq, stream_off);
+    }
+  };
 
   while (!((out->saw_shutdown && !pending_ack) && wd_done)) {
     if (ctx.StopRequested()) {
       return;
     }
     bool work = false;
-    if (pending_ack && ack_out->TryPush(*pending_ack)) {
+    if (pending_ack &&
+        ack_out->TryEmplace(pending_ack->type, pending_ack->seq, pending_ack->stream_off)) {
       pending_ack.reset();
       work = true;
     }
     while (!pending_ack) {
-      std::optional<RtMsg> m = data_in->TryPop();
-      if (!m) {
+      // Checked and folded where it lies in the ring; only the header fields
+      // the ack needs outlive PopFront.
+      const RtMsg* m = data_in->Front();
+      if (m == nullptr) {
         break;
       }
       work = true;
       if (m->type == RtMsg::Type::kData) {
-        for (uint32_t i = 0; i < m->len; ++i) {
-          if (m->payload[i] != RtPatternByte(m->stream_off + i)) {
-            ++out->payload_errors;
-          }
-        }
+        out->payload_errors += RtPayloadErrors(*m);
         out->delivered += m->len;
         ++out->chunks;
         // Same FNV-1a fold as StreamIntegrityChecker::OnChunk — the digest
@@ -306,29 +279,24 @@ void PeerBody(ServerContext& ctx, SharedState* sh, ThreadChannel<RtMsg>* data_in
         out->digest ^= m->len;
         out->digest *= 1099511628211ULL;
         out->latency.Record(RuntimeClock::NsToPs(sh->clock.NowNs() - m->born_ns));
+        const uint32_t seq = m->seq;
         if (TraceOn(rec)) {
-          rec->AsyncEnd(sh->clock.NowPs(), track, e2e, m->seq + 1);
+          rec->AsyncEnd(sh->clock.NowPs(), track, e2e, seq + 1);
         }
-        RtMsg ack;
-        ack.type = RtMsg::Type::kAck;
-        ack.seq = m->seq;
-        ack.stream_off = out->delivered;
-        if (!ack_out->TryPush(ack)) {
-          pending_ack = ack;
-        }
+        data_in->PopFront();
+        send_ack(RtMsg::Type::kAck, seq, out->delivered);
       } else if (m->type == RtMsg::Type::kShutdown) {
+        data_in->PopFront();
         out->saw_shutdown = true;
         // Wake the watchdog so it can broadcast the quiesce.
         sh->transfer_done.store(true, std::memory_order_release);
         if (sh->wd_gate != nullptr) {
           sh->wd_gate->Notify();
         }
-        RtMsg echo;
-        echo.type = RtMsg::Type::kShutdown;
-        if (!ack_out->TryPush(echo)) {
-          pending_ack = echo;
-        }
+        send_ack(RtMsg::Type::kShutdown, 0, 0);
         break;
+      } else {
+        data_in->PopFront();
       }
     }
     work |= ServiceWd(ctx, wd, &wd_done);
@@ -383,12 +351,13 @@ void WatchdogBody(ServerContext& ctx, SharedState* sh,
     }
     bool work = false;
     for (size_t i = 0; i < n; ++i) {
-      while (std::optional<RtMsg> m = in_rings[i]->TryPop()) {
+      while (const RtMsg* m = in_rings[i]->Front()) {
         work = true;
         if (m->type == RtMsg::Type::kHeartbeatAck) {
           ++acked[i];
           outstanding[i] = false;
         }
+        in_rings[i]->PopFront();
       }
     }
     // A heartbeat round in flight is finished before the quiesce, and the
@@ -404,9 +373,7 @@ void WatchdogBody(ServerContext& ctx, SharedState* sh,
     if (quiesce) {
       for (size_t i = 0; i < n; ++i) {
         if (!shutdown_pushed[i]) {
-          RtMsg s;
-          s.type = RtMsg::Type::kShutdown;
-          if (out_rings[i]->TryPush(s)) {
+          if (out_rings[i]->TryEmplace(RtMsg::Type::kShutdown, 0)) {
             shutdown_pushed[i] = true;
             work = true;
           }
@@ -423,10 +390,7 @@ void WatchdogBody(ServerContext& ctx, SharedState* sh,
       bool round_complete = true;
       for (size_t i = 0; i < n; ++i) {
         if (!outstanding[i] && sent[i] <= round) {
-          RtMsg hb;
-          hb.type = RtMsg::Type::kHeartbeat;
-          hb.seq = round;
-          if (out_rings[i]->TryPush(hb)) {
+          if (out_rings[i]->TryEmplace(RtMsg::Type::kHeartbeat, round)) {
             outstanding[i] = true;
             ++sent[i];
             work = true;
@@ -585,9 +549,7 @@ LiveStackResult RunLiveFig2(const LiveStackConfig& config) {
       TcpBody(ctx, &sh, a2t, t2down, i2t, wd_port(1));
     })));
     ctxs.push_back(&engine.Add("ip", cpu_for(2), finish([&](ServerContext& ctx) {
-      ForwardDir down{t2down, i2p, std::nullopt, false};
-      ForwardDir up{p2up, i2t, std::nullopt, false};
-      IpBody(ctx, std::move(down), std::move(up), wd_port(2));
+      IpBody(ctx, ForwardDir{t2down, i2p}, ForwardDir{p2up, i2t}, wd_port(2));
     })));
     ctxs.push_back(&engine.Add("peer", cpu_for(3), finish([&](ServerContext& ctx) {
       PeerBody(ctx, &sh, i2p, p2up, wd_port(3), &peer_out, recs[3], tracks[3], e2e_peer);

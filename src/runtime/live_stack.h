@@ -21,9 +21,12 @@
 // Flow control mirrors TCP's: the tcp thread forwards a segment only when
 // it fits the advertised window (in-flight bytes), advancing on cumulative
 // acks from the peer; the app↔tcp ring provides backpressure upstream. Every
-// server loop is non-blocking (a full output parks the message in a pending
-// slot and the loop keeps servicing its other inputs), so the ring graph
-// cannot deadlock.
+// server loop is non-blocking (a forwarded message leaves its input ring
+// only once the output took it, an ack the full ack ring refused waits in a
+// one-slot pending buffer, and the loop keeps servicing its other inputs),
+// so the ring graph cannot deadlock. A hop copies a message once: the
+// producer constructs the slot only after the space check, and forwarders
+// and the peer read the slot where it lies (Front, then PopFront).
 //
 // Shutdown is a quiesce protocol, not a cancellation: a kShutdown token
 // rides the data path behind the last segment, bounces back along the ack
@@ -36,7 +39,9 @@
 #ifndef SRC_RUNTIME_LIVE_STACK_H_
 #define SRC_RUNTIME_LIVE_STACK_H_
 
+#include <cassert>
 #include <cstdint>
+#include <cstring>
 #include <memory>
 #include <string>
 #include <type_traits>
@@ -64,6 +69,12 @@ struct RtMsg {
   };
   static constexpr uint32_t kMaxPayload = 1460;  // one MSS of real bytes
 
+  RtMsg() = default;
+  // Header-only message (acks, heartbeats, shutdowns): `payload` is left
+  // uninitialized, so emplacing one into a ring slot writes one cache line,
+  // not the whole slot.
+  RtMsg(Type t, uint32_t s, uint64_t off = 0) : type(t), seq(s), stream_off(off) {}
+
   Type type = Type::kData;
   uint16_t len = 0;         // payload bytes (kData only)
   uint32_t seq = 0;         // segment index / heartbeat round
@@ -74,9 +85,52 @@ struct RtMsg {
 static_assert(std::is_trivially_copyable_v<RtMsg>, "RtMsg must stay a POD slot");
 
 // The deterministic payload byte at absolute stream offset `off` — both ends
-// compute it independently, so verification needs no reference copy.
-inline unsigned char RtPatternByte(uint64_t off) {
+// compute it independently, so verification needs no reference copy. It
+// depends only on `off % kRtPatternPeriod`.
+constexpr unsigned char RtPatternByte(uint64_t off) {
   return static_cast<unsigned char>((off * 131) ^ (off >> 7));
+}
+inline constexpr uint64_t kRtPatternPeriod = uint64_t{1} << 15;
+
+// One pattern period plus one payload, built at compile time: the payload of
+// any segment is the contiguous run starting at `off % kRtPatternPeriod`, so
+// filling is one memcpy and checking one memcmp, with no init in a transfer.
+struct RtPatternTable {
+  unsigned char bytes[kRtPatternPeriod + RtMsg::kMaxPayload];
+};
+constexpr RtPatternTable MakeRtPatternTable() {
+  RtPatternTable t{};
+  for (uint64_t i = 0; i < sizeof(t.bytes); ++i) {
+    t.bytes[i] = RtPatternByte(i);
+  }
+  return t;
+}
+inline constexpr RtPatternTable kRtPattern = MakeRtPatternTable();
+
+inline const unsigned char* RtPatternAt(uint64_t off) {
+  return kRtPattern.bytes + (off % kRtPatternPeriod);
+}
+
+// Writes the pattern for stream bytes [off, off + len) into m.payload.
+inline void FillRtPayload(RtMsg& m, uint64_t off, uint32_t len) {
+  assert(len <= RtMsg::kMaxPayload);
+  std::memcpy(m.payload, RtPatternAt(off), len);
+}
+
+// Payload bytes of data message `m` that differ from the pattern at
+// m.stream_off. One memcmp when they all match; the per-byte count only runs
+// on a mismatch, so the error total stays exact.
+inline uint64_t RtPayloadErrors(const RtMsg& m) {
+  assert(m.len <= RtMsg::kMaxPayload);
+  const unsigned char* want = RtPatternAt(m.stream_off);
+  if (std::memcmp(m.payload, want, m.len) == 0) {
+    return 0;
+  }
+  uint64_t errors = 0;
+  for (uint32_t i = 0; i < m.len; ++i) {
+    errors += m.payload[i] != want[i];
+  }
+  return errors;
 }
 
 struct LiveStackConfig {

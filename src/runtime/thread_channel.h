@@ -1,10 +1,13 @@
 // ThreadChannel: the live backend's channel — a bare SpscRing plus the
 // doorbells and counters the engine needs, presenting the same vocabulary as
-// the simulated SimChannel (Push/Pop/Front, per-side stats, checker hook).
+// the simulated SimChannel (push, front and pop, per-side stats, checker
+// hook).
 //
 // The DES wrapper modeled a shared-memory ring; this IS one. No cost model,
-// no taps, no scheduled delivery: a push is a release store into the ring
-// and (when the consumer might be parked) a doorbell ring on its IdleGate.
+// no taps, no scheduled delivery: a push is one slot write and a release
+// store into the ring, and (when the consumer might be parked) a doorbell
+// ring on its IdleGate. A consumer may read or forward a message where it
+// lies (Front, then PopFront), so a hop copies the message exactly once.
 // Stats are split per side into cache-line-aligned groups for the same
 // reason the ring's cursors are: the producer's counters must never bounce
 // on the consumer's line.
@@ -18,7 +21,6 @@
 #define SRC_RUNTIME_THREAD_CHANNEL_H_
 
 #include <cstdint>
-#include <optional>
 #include <string>
 #include <utility>
 
@@ -47,17 +49,19 @@ class ThreadChannel {
   IdleGate* producer_gate() const { return producer_gate_; }
 
   // --- Producer side ---
+  //
+  // Every push checks for space before touching the message and then
+  // constructs the slot once (see spsc_ring.h): a failed push costs a
+  // counter bump, not a copy of the message.
 
-  bool TryPush(T value) {
-    if (!ring_.TryPush(std::move(value))) {
-      ++prod_stats_.full_retries;
-      return false;
-    }
-    ++prod_stats_.pushes;
-    if (consumer_gate_ != nullptr) {
-      consumer_gate_->Notify();
-    }
-    return true;
+  bool TryPush(const T& value) { return CountPush(ring_.TryPush(value)); }
+  bool TryPush(T&& value) { return CountPush(ring_.TryPush(std::move(value))); }
+
+  // Constructs T(args...) in the slot: a header-only RtMsg writes one cache
+  // line, not the whole payload.
+  template <typename... Args>
+  bool TryEmplace(Args&&... args) {
+    return CountPush(ring_.TryEmplace(std::forward<Args>(args)...));
   }
 
   // True if a push could currently succeed (producer thread only; exact for
@@ -66,20 +70,18 @@ class ThreadChannel {
 
   // --- Consumer side ---
 
-  std::optional<T> TryPop() {
-    std::optional<T> out = ring_.TryPop();
-    if (out.has_value()) {
-      ++cons_stats_.pops;
-      if (producer_gate_ != nullptr) {
-        producer_gate_->Notify();
-      }
-    }
-    return out;
-  }
-
-  // Peek without consuming (consumer thread only; pointer valid until the
-  // next TryPop).
+  // The consume is in place: Front() peeks (pointer valid until the next
+  // PopFront), the caller reads or forwards the message where it lies, and
+  // PopFront() releases the slot, counts the pop and rings the producer gate.
   const T* Front() { return ring_.Front(); }
+
+  void PopFront() {
+    ring_.PopFront();
+    ++cons_stats_.pops;
+    if (producer_gate_ != nullptr) {
+      producer_gate_->Notify();
+    }
+  }
 
   bool EmptyConsumer() { return ring_.EmptyConsumer(); }
 
@@ -99,6 +101,18 @@ class ThreadChannel {
   uint64_t consumer_token() const { return ring_.consumer_token(); }
 
  private:
+  bool CountPush(bool pushed) {
+    if (!pushed) {
+      ++prod_stats_.full_retries;
+      return false;
+    }
+    ++prod_stats_.pushes;
+    if (consumer_gate_ != nullptr) {
+      consumer_gate_->Notify();
+    }
+    return true;
+  }
+
   SpscRing<T> ring_;
 
   // Plain counters, one side each — no atomics needed under the SPSC

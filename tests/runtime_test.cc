@@ -13,7 +13,6 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <optional>
 #include <sstream>
 #include <thread>
 
@@ -104,8 +103,9 @@ TEST(ThreadChannel, CountsAndNotifiesAcrossThreads) {
   std::thread consumer([&] {
     int got = 0;
     while (got < kN) {
-      if (std::optional<int> v = chan.TryPop()) {
+      if (const int* v = chan.Front()) {
         sum.fetch_add(*v, std::memory_order_relaxed);
+        chan.PopFront();
         ++got;
       } else {
         const uint32_t e = consumer_gate.PrepareWait();
@@ -128,6 +128,93 @@ TEST(ThreadChannel, CountsAndNotifiesAcrossThreads) {
   EXPECT_EQ(chan.pops(), static_cast<uint64_t>(kN));
   EXPECT_EQ(chan.Residue(), 0u);
   EXPECT_EQ(chan.imposters(), 0u);
+}
+
+TEST(ThreadChannel, PushCopiesOnlyOnSuccessAndCountsRetries) {
+  struct Copies {
+    int* n;
+    explicit Copies(int* counter) noexcept : n(counter) {}
+    Copies(const Copies& o) noexcept : n(o.n) { ++*n; }
+  };
+  int copies = 0;
+  ThreadChannel<Copies> chan("t", 1);
+  const Copies msg(&copies);
+  EXPECT_TRUE(chan.TryPush(msg));
+  EXPECT_FALSE(chan.TryPush(msg));
+  EXPECT_FALSE(chan.TryPush(msg));
+  EXPECT_EQ(copies, 1);
+  EXPECT_EQ(chan.pushes(), 1u);
+  EXPECT_EQ(chan.full_retries(), 2u);
+}
+
+TEST(ThreadChannel, PopFrontCountsPopAndRingsProducerGate) {
+  ThreadChannel<int> chan("t", 4);
+  IdleGate producer_gate;
+  chan.BindProducerGate(&producer_gate);
+  for (int i = 1; i <= 3; ++i) {
+    ASSERT_TRUE(chan.TryPush(i));
+  }
+  // A producer parked on backpressure must be woken by the consume.
+  producer_gate.PrepareWait();
+  ASSERT_NE(chan.Front(), nullptr);
+  EXPECT_EQ(*chan.Front(), 1);
+  chan.PopFront();
+  EXPECT_EQ(chan.pops(), 1u);
+  EXPECT_EQ(producer_gate.wakes(), 1u);
+  producer_gate.CancelWait();
+  for (int want = 2; want <= 3; ++want) {
+    ASSERT_NE(chan.Front(), nullptr);
+    EXPECT_EQ(*chan.Front(), want);
+    chan.PopFront();
+  }
+  EXPECT_EQ(chan.Front(), nullptr);
+  EXPECT_EQ(chan.pops(), 3u);
+  EXPECT_EQ(chan.Residue(), 0u);
+}
+
+// --- The payload pattern ---
+
+TEST(LivePayload, TableMatchesPatternByte) {
+  static_assert(sizeof(kRtPattern.bytes) == kRtPatternPeriod + RtMsg::kMaxPayload);
+  for (uint64_t i = 0; i < sizeof(kRtPattern.bytes); ++i) {
+    ASSERT_EQ(kRtPattern.bytes[i], RtPatternByte(i)) << "table byte " << i;
+  }
+}
+
+// A data segment at stream offset `off`, filled by the app's helper.
+RtMsg PatternSegment(uint64_t off, uint32_t len) {
+  RtMsg m;
+  m.len = static_cast<uint16_t>(len);
+  m.stream_off = off;
+  FillRtPayload(m, off, len);
+  return m;
+}
+
+TEST(LivePayload, EachFlippedByteCountsOnce) {
+  const uint64_t off = 7 * RtMsg::kMaxPayload;
+  for (uint32_t at : {0u, 729u, RtMsg::kMaxPayload - 1}) {
+    RtMsg m = PatternSegment(off, RtMsg::kMaxPayload);
+    ASSERT_EQ(RtPayloadErrors(m), 0u);
+    m.payload[at] ^= 0x01;
+    EXPECT_EQ(RtPayloadErrors(m), 1u) << "flipped byte " << at;
+  }
+  RtMsg m = PatternSegment(off, RtMsg::kMaxPayload);
+  m.payload[0] ^= 0x80;
+  m.payload[729] ^= 0xff;
+  m.payload[RtMsg::kMaxPayload - 1] ^= 0x10;
+  EXPECT_EQ(RtPayloadErrors(m), 3u);
+}
+
+TEST(LivePayload, SegmentStraddlingThePatternPeriod) {
+  // Starts 700 bytes before a period boundary (and in a later period), so
+  // the fill wraps the pattern mid-segment.
+  for (uint64_t off : {kRtPatternPeriod - 700, 5 * kRtPatternPeriod - 1}) {
+    const RtMsg m = PatternSegment(off, RtMsg::kMaxPayload);
+    EXPECT_EQ(RtPayloadErrors(m), 0u) << "offset " << off;
+    for (uint32_t i = 0; i < RtMsg::kMaxPayload; ++i) {
+      ASSERT_EQ(m.payload[i], RtPatternByte(off + i)) << "offset " << off << " byte " << i;
+    }
+  }
 }
 
 // --- The live stack ---

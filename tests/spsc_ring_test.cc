@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <memory>
-#include <string>
 #include <thread>
 #include <vector>
 
@@ -71,10 +70,92 @@ TEST(SpscRing, MoveOnlyTypesWork) {
   EXPECT_EQ(**out, 5);
 }
 
+// An element that counts how often it is copied and moved, so the tests can
+// pin how many times a push writes the message.
+struct CopyMoveCount {
+  int copies = 0;
+  int moves = 0;
+};
+struct Counted {
+  CopyMoveCount* n;
+  int v;
+  Counted(CopyMoveCount* counts, int value) noexcept : n(counts), v(value) {}
+  Counted(const Counted& o) noexcept : n(o.n), v(o.v) { ++n->copies; }
+  Counted(Counted&& o) noexcept : n(o.n), v(o.v) { ++n->moves; }
+};
+
 TEST(SpscRing, TryEmplaceConstructsInPlace) {
-  SpscRing<std::string> ring(4);
-  EXPECT_TRUE(ring.TryEmplace("hello"));
-  EXPECT_EQ(ring.TryPop(), std::optional<std::string>("hello"));
+  CopyMoveCount n;
+  SpscRing<Counted> ring(4);
+  EXPECT_TRUE(ring.TryEmplace(&n, 7));
+  EXPECT_EQ(n.copies, 0);
+  EXPECT_EQ(n.moves, 0);
+  ASSERT_NE(ring.Front(), nullptr);
+  EXPECT_EQ(ring.Front()->v, 7);
+}
+
+TEST(SpscRing, ConstRefPushCopiesOnlyIntoAFreeSlot) {
+  CopyMoveCount n;
+  SpscRing<Counted> ring(1);
+  const Counted msg(&n, 1);
+  EXPECT_TRUE(ring.TryPush(msg));
+  EXPECT_EQ(n.copies, 1);
+  EXPECT_EQ(n.moves, 0);
+  for (int i = 0; i < 20; ++i) {
+    EXPECT_FALSE(ring.TryPush(msg));  // full: nothing is copied
+  }
+  EXPECT_EQ(n.copies, 1);
+  EXPECT_EQ(n.moves, 0);
+}
+
+TEST(SpscRing, RvaluePushMovesOnceAndNeverCopies) {
+  CopyMoveCount n;
+  SpscRing<Counted> ring(1);
+  EXPECT_TRUE(ring.TryPush(Counted(&n, 1)));
+  EXPECT_EQ(n.copies, 0);
+  EXPECT_EQ(n.moves, 1);
+  EXPECT_FALSE(ring.TryPush(Counted(&n, 2)));
+  EXPECT_EQ(n.copies, 0);
+  EXPECT_EQ(n.moves, 1);
+}
+
+TEST(SpscRing, FailedRvaluePushLeavesMoveOnlyValueIntact) {
+  SpscRing<std::unique_ptr<int>> ring(1);
+  EXPECT_TRUE(ring.TryPush(std::make_unique<int>(1)));
+  auto p = std::make_unique<int>(2);
+  EXPECT_FALSE(ring.TryPush(std::move(p)));
+  ASSERT_NE(p, nullptr);  // space is checked before the value is touched
+  EXPECT_EQ(**ring.TryPop(), 1);
+  EXPECT_TRUE(ring.TryPush(std::move(p)));
+  EXPECT_EQ(p, nullptr);
+  EXPECT_EQ(**ring.TryPop(), 2);
+}
+
+TEST(SpscRing, PopFrontConsumesInFifoOrder) {
+  SpscRing<int> ring(4);
+  for (int round = 0; round < 100; ++round) {
+    ASSERT_TRUE(ring.TryPush(2 * round));
+    ASSERT_TRUE(ring.TryPush(2 * round + 1));
+    for (int k = 0; k < 2; ++k) {
+      const int* front = ring.Front();
+      ASSERT_NE(front, nullptr);
+      ASSERT_EQ(*front, 2 * round + k);
+      ring.PopFront();
+    }
+    ASSERT_EQ(ring.Front(), nullptr);
+  }
+  EXPECT_TRUE(ring.EmptyConsumer());
+  EXPECT_EQ(ring.check_violations(), 0u);
+}
+
+TEST(SpscRing, PopFrontDestroysTheElement) {
+  auto token = std::make_shared<int>(0);
+  SpscRing<std::shared_ptr<int>> ring(4);
+  ASSERT_TRUE(ring.TryPush(std::shared_ptr<int>(token)));
+  EXPECT_EQ(token.use_count(), 2);
+  ASSERT_NE(ring.Front(), nullptr);
+  ring.PopFront();
+  EXPECT_EQ(token.use_count(), 1);
 }
 
 TEST(SpscRing, DestructorDrainsRemainingElements) {

@@ -54,9 +54,9 @@ TEST(SpscTsan, MoveOnlyPayloadsCrossIntact) {
   std::thread producer([&ring] {
     for (int i = 0; i < kMessages; ++i) {
       auto p = std::make_unique<int>(i);
-      // TryEmplace checks for space before forwarding, so a failed attempt
-      // leaves `p` intact (TryPush would consume it into the by-value param).
-      while (!ring.TryEmplace(std::move(p))) {
+      // A push checks for space before touching its argument, so a failed
+      // attempt leaves `p` intact for the retry.
+      while (!ring.TryPush(std::move(p))) {
       }
     }
   });
@@ -92,6 +92,30 @@ TEST(SpscTsan, FrontPeeksSafelyWhileProducing) {
     }
   }
   producer.join();
+}
+
+TEST(SpscTsan, FrontPopFrontConsumerTwoThreads) {
+  // The live stack's in-place consume: read the slot where it lies, then
+  // release it, while the producer keeps writing the slots behind it.
+  constexpr uint64_t kMessages = 100'000;
+  SpscRing<uint64_t> ring(8);
+  std::thread producer([&ring] {
+    for (uint64_t i = 0; i < kMessages; ++i) {
+      while (!ring.TryPush(i)) {
+      }
+    }
+  });
+  uint64_t popped = 0;
+  while (popped < kMessages) {
+    if (const uint64_t* front = ring.Front()) {
+      ASSERT_EQ(*front, popped);
+      ring.PopFront();
+      ++popped;
+    }
+  }
+  producer.join();
+  EXPECT_TRUE(ring.EmptyConsumer());
+  EXPECT_EQ(ring.check_violations(), 0u);
 }
 
 TEST(SpscTsan, PingPongBouncesEveryMessage) {
@@ -172,6 +196,32 @@ TEST(SpscTsan, SecondConsumerThreadIsFlagged) {
   owner.join();
   imposter.join();
   EXPECT_GT(ring.check_violations(), 0u);
+}
+
+TEST(SpscTsan, SecondPopFrontThreadIsFlagged) {
+  // The imposter calls only PopFront, so PopFront's own side check is the
+  // one that must count it. The owner's Front() has already seen both
+  // elements, so the imposter's pop consumes a published slot.
+  SpscRing<int> ring(16);
+  ring.TryPush(1);
+  ring.TryPush(2);
+  std::atomic<int> stage{0};
+  std::thread owner([&ring, &stage] {
+    EXPECT_EQ(*ring.Front(), 1);
+    ring.PopFront();
+    stage.store(1, std::memory_order_release);
+    while (stage.load(std::memory_order_acquire) < 2) {
+    }
+  });
+  std::thread imposter([&ring, &stage] {
+    while (stage.load(std::memory_order_acquire) < 1) {
+    }
+    ring.PopFront();  // deliberate second consumer
+    stage.store(2, std::memory_order_release);
+  });
+  owner.join();
+  imposter.join();
+  EXPECT_EQ(ring.check_violations(), 1u);
 }
 
 TEST(SpscTsan, ResetCheckOwnersAllowsHandOff) {
