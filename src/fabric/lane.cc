@@ -166,9 +166,9 @@ void LaneEngine::RunUntil(SimTime until) {
 
   {
     // Wait for every worker to be parked in cv_.wait before touching the
-    // shared windowing state: a worker leaving the previous run's final
-    // barrier may not have re-parked yet, and mutating window_/run_done_
-    // under its feet would race with its last reads.
+    // shared windowing state. Only the first run can find one that is not:
+    // the workers start parking when their threads start, and every run
+    // waits for them to re-park before it returns.
     std::unique_lock<std::mutex> lock(mutex_);
     parked_cv_.wait(lock, [&] { return parked_ == workers_.size(); });
     parked_ = 0;
@@ -179,8 +179,13 @@ void LaneEngine::RunUntil(SimTime until) {
   }
   cv_.notify_all();
   // The caller's thread is lane 0's worker; returns once every lane has
-  // reached `until` and the final flush ran. Workers re-park on their own.
+  // reached `until` and the final flush ran.
   RunWindows(lanes_[0].get());
+  // Wait for the workers to re-park, which ends their lane-pool bindings:
+  // once RunUntil returns, the caller may free any lane's packets on the
+  // pool's local path (PacketPool's ownership rule).
+  std::unique_lock<std::mutex> lock(mutex_);
+  parked_cv_.wait(lock, [&] { return parked_ == workers_.size(); });
 }
 
 uint64_t LaneEngine::TotalEventsProcessed() const {

@@ -26,7 +26,12 @@
 // ChannelChecker actor scopes stay valid because every object a lane owns
 // is only ever touched by that lane's one thread. Each worker
 // binds its lane's PacketPool for the duration of a run
-// (PacketPool::ScopedUse), so packet recycling never contends across lanes.
+// (PacketPool::ScopedUse), so a lane allocates and recycles its own packets
+// with no lock and no shared counter. The one cross-lane path is a lane
+// releasing another lane's packet (the sink dropping a delivered frame):
+// one CAS onto that pool's remote list, which its owner takes whole when its
+// local list runs empty (packet_pool.h). RunUntil returns only after every
+// worker has re-parked and dropped its binding.
 //
 // With one lane there are no threads and no barriers — just windowed
 // RunUntil + Flush on the caller's thread, which is also why --lanes 1

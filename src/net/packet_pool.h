@@ -10,8 +10,24 @@
 // it. Once the pool has grown to the workload's in-flight high-water mark,
 // packet creation touches no allocator at all.
 //
-// Packet ids stay globally unique and sequential (the same counter the
-// un-pooled MakePacket used), so traces and pcap captures are unaffected.
+// Ownership. A pool belongs to one thread at a time: the thread that has it
+// bound with ScopedUse, or, while no thread has it bound, whichever thread
+// uses it (the single-threaded DES). Make() and local frees touch only the
+// owner's state: a plain free list and plain counters, no lock and no
+// atomic read-modify-write. A free is *remote* when the releasing thread
+// has a different pool bound (a running simulation lane dropping another
+// lane's packet): the block is CAS-pushed onto the pool's remote list,
+// which sits on its own cache line, and a relaxed counter beside it
+// records the free. When the owner's local list runs empty, Make() takes
+// the whole remote list with one exchange (O(1), no walk) and folds the
+// counter into its stats. The pushes' release CAS and the owner's acquire
+// exchange order every write to a block before its reuse. Debug builds
+// assert that no other thread has the pool bound when a local path runs.
+//
+// Packet ids are per pool: pool number k hands out k * 2^40 + 1, + 2, ...
+// in Make() order, with k = 0 for Default(), so a single-threaded run's ids
+// read 1, 2, 3, ... Ids are unique across pools, and a lane's ids depend
+// only on what its own lane does, not on thread timing.
 //
 // The Default() pool is intentionally leaked (packets may legally outlive
 // every static destructor). Pool objects created locally in tests must
@@ -34,10 +50,12 @@ class PacketPool {
     uint64_t fresh_allocations = 0;  // blocks obtained from the system heap
     uint64_t recycled = 0;           // Make() calls served from the freelist
     uint64_t outstanding = 0;        // live packets right now
-    uint64_t high_water = 0;         // max simultaneous live packets
+    // Max simultaneous live packets. A remote free counts toward it only
+    // once the owner adopts it, so with remote frees this is an upper bound.
+    uint64_t high_water = 0;
   };
 
-  PacketPool() = default;
+  PacketPool();
   ~PacketPool();
 
   PacketPool(const PacketPool&) = delete;
@@ -51,24 +69,32 @@ class PacketPool {
   // not count toward outstanding/high_water.
   void Reserve(size_t n);
 
+  // Both read the owner's counters and the remote-free counter without
+  // synchronizing with remote frees in flight: exact once the pool is
+  // quiescent (every thread that freed into it has joined, or has passed a
+  // barrier the reader has passed too).
   Stats stats() const;
-
-  // Number of recycled blocks currently waiting on the freelist.
+  // Number of recycled blocks waiting on the local and remote freelists.
   size_t free_blocks() const;
+
+  // The ids this pool hands out are id_base() + 1, + 2, ... in Make() order.
+  uint64_t id_base() const { return id_base_; }
 
   // The process-wide pool used by MakePacket(). Never destroyed.
   static PacketPool& Default();
 
   // The pool MakePacket() draws from on the calling thread: the thread's
   // scoped pool if a ScopedUse is active, Default() otherwise. Simulation
-  // lanes (src/fabric/lane.h) scope each worker thread to its lane's pool so
-  // lanes never contend on one freelist; blocks still return to their owning
-  // pool on release no matter which thread drops the last reference (the
-  // deleter captured the allocating pool).
+  // lanes (src/fabric/lane.h) scope each worker thread to its lane's pool,
+  // so each lane allocates from and frees into its own pool alone; a block
+  // still returns to its owning pool whichever thread drops the last
+  // reference (the deleter captured the allocating pool).
   static PacketPool& Current();
 
-  // RAII thread-local pool override. Nestable; restores the previous
-  // binding on destruction. Must not outlive the pool it binds.
+  // RAII thread-local pool override; also makes the calling thread the
+  // pool's owner (see the file comment). Nestable; restores the previous
+  // binding on destruction. Must not outlive the pool it binds, and a pool
+  // must not be bound on two threads at once.
   class ScopedUse {
    public:
     explicit ScopedUse(PacketPool* pool);
@@ -77,7 +103,9 @@ class PacketPool {
     ScopedUse& operator=(const ScopedUse&) = delete;
 
    private:
+    PacketPool* pool_;
     PacketPool* prev_;
+    const void* prev_owner_;
   };
 
  private:
@@ -110,17 +138,31 @@ class PacketPool {
     FreeNode* next;
   };
 
+  explicit PacketPool(uint64_t id_base);
+
   void* AllocBlock(size_t bytes);
   void FreeBlock(void* p, size_t bytes);
-  void Lock() const;
-  void Unlock() const;
+  // Moves the remote list onto the (empty) local list.
+  void AdoptRemote();
+  // True unless another thread has this pool bound.
+  bool UsableHere() const;
 
-  mutable std::atomic_flag lock_ = ATOMIC_FLAG_INIT;
+  // Owner-local state.
   FreeNode* free_head_ = nullptr;
   size_t free_count_ = 0;
   size_t block_bytes_ = 0;  // learned on the first allocation
   bool reserving_ = false;  // suppresses stats while Reserve() cycles blocks
+  const uint64_t id_base_;
+  uint64_t next_id_;
   Stats stats_;
+  // The thread that has the pool bound (a per-thread tag), or null. Written
+  // by ScopedUse, read by the ownership asserts.
+  std::atomic<const void*> owner_{nullptr};
+
+  // Remote frees, on their own cache line so pushes from other threads do
+  // not contend with the owner's fast path.
+  alignas(64) std::atomic<FreeNode*> remote_head_{nullptr};
+  std::atomic<uint64_t> remote_frees_{0};  // pushes not yet adopted
 };
 
 }  // namespace newtos

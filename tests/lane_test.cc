@@ -323,5 +323,35 @@ TEST(LaneEquivalence, RepeatedRunsAreBitIdentical) {
   EXPECT_EQ(a.delivered, b.delivered);
 }
 
+// Each lane numbers its packets from its own pool's counter, so a packet's
+// number within its pool (id minus the pool's base) depends only on its own
+// lane's simulation, not on how the lane threads interleave: two same-seed
+// 3-lane runs deliver the same numbers in the same order. A 1-lane run is no
+// reference here: all its clients share lane 0's pool, so its numbers differ
+// by design.
+std::vector<uint64_t> PoolSequenceNumbersAtSink(int lanes) {
+  const UdpIncastOptions options = UdpOptions(lanes);
+  std::vector<uint64_t> base_of_client;
+  std::vector<uint64_t> numbers;  // declared before the bed, whose sink writes it
+  UdpIncastBed bed(options);
+  for (int c = 0; c < options.topo.n_clients; ++c) {
+    base_of_client.push_back(bed.engine().lane(IncastLaneOfClient(c, lanes)).pool().id_base());
+  }
+  bed.sut().udp().Unbind(kUdpFloodPort);
+  bed.sut().udp().Bind(kUdpFloodPort, [&](const PacketPtr& p) {
+    numbers.push_back(p->id - base_of_client[static_cast<size_t>(IncastClientIndex(p->ip.src))]);
+  });
+  bed.Start();
+  bed.RunFor(10 * kMillisecond);
+  return numbers;
+}
+
+TEST(LaneEquivalence, PacketIdsWithinEachPoolIgnoreThreadTiming) {
+  const std::vector<uint64_t> first = PoolSequenceNumbersAtSink(3);
+  const std::vector<uint64_t> second = PoolSequenceNumbersAtSink(3);
+  ASSERT_GT(first.size(), 1000u);
+  EXPECT_EQ(first, second);
+}
+
 }  // namespace
 }  // namespace newtos

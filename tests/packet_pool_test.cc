@@ -1,9 +1,14 @@
 // Tests for the packet recycling pool: recycle correctness (blocks reused,
-// contents re-initialized, ids still unique) and occupancy accounting.
+// contents re-initialized, ids still unique), occupancy accounting, and the
+// owner/remote protocol between threads. The cross-thread cases also run
+// under TSan in CI (see .github/workflows/ci.yml).
 
 #include <gtest/gtest.h>
 
+#include <future>
 #include <set>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include "src/net/packet.h"
@@ -121,6 +126,108 @@ TEST(PacketPool, DefaultPoolBacksMakePacket) {
   }
   EXPECT_EQ(PacketPool::Default().stats().outstanding, before.outstanding);
 }
+
+TEST(PacketPool, DefaultIdsStaySequential) {
+  EXPECT_EQ(PacketPool::Default().id_base(), 0u);
+  const PacketPtr a = MakePacket();
+  {
+    PacketPool other;  // another pool's ids come from its own counter
+    for (int i = 0; i < 5; ++i) {
+      other.Make();
+    }
+  }
+  const PacketPtr b = MakePacket();
+  const PacketPtr c = MakePacket();
+  EXPECT_EQ(b->id, a->id + 1);
+  EXPECT_EQ(c->id, a->id + 2);
+  EXPECT_EQ(c->trace_id, c->id);
+}
+
+TEST(PacketPool, IdsAreUniqueAcrossPools) {
+  PacketPool p1;
+  PacketPool p2;
+  EXPECT_NE(p1.id_base(), p2.id_base());
+  EXPECT_NE(p1.id_base(), PacketPool::Default().id_base());
+  std::set<uint64_t> ids;
+  std::vector<PacketPtr> live;
+  for (int i = 0; i < 50; ++i) {
+    for (PacketPool* pool : {&p1, &p2, &PacketPool::Default()}) {
+      live.push_back(pool->Make());
+      EXPECT_TRUE(ids.insert(live.back()->id).second) << "duplicate packet id";
+    }
+  }
+  // Within a pool, ids count up from its base in Make() order.
+  EXPECT_EQ(live[0]->id, p1.id_base() + 1);
+  EXPECT_EQ(live[3]->id, p1.id_base() + 2);
+  EXPECT_EQ(live[1]->id, p2.id_base() + 1);
+  EXPECT_EQ(live[148]->id, p2.id_base() + 50);
+}
+
+// Thread A, with its pool bound, makes N packets; thread B, with another
+// pool bound, drops them. The blocks come back to A's pool through its remote
+// list, so A's next N packets are all recycled.
+TEST(PacketPool, ForeignThreadFreesComeBackToTheOwner) {
+  constexpr size_t kN = 256;
+  PacketPool pool_a;
+  PacketPool pool_b;
+  std::promise<std::vector<PacketPtr>> handoff;
+  std::promise<void> dropped;
+  uint64_t fresh_after_first = 0;
+  uint64_t fresh_after_second = 0;
+  uint64_t recycled_second = 0;
+
+  std::thread a([&] {
+    PacketPool::ScopedUse use(&pool_a);
+    std::vector<PacketPtr> batch;
+    for (size_t i = 0; i < kN; ++i) {
+      batch.push_back(MakePacket());
+    }
+    fresh_after_first = pool_a.stats().fresh_allocations;
+    handoff.set_value(std::move(batch));
+    dropped.get_future().wait();
+    const uint64_t recycled_before = pool_a.stats().recycled;
+    std::vector<PacketPtr> again;
+    for (size_t i = 0; i < kN; ++i) {
+      again.push_back(MakePacket());
+    }
+    fresh_after_second = pool_a.stats().fresh_allocations;
+    recycled_second = pool_a.stats().recycled - recycled_before;
+  });
+  std::thread b([&] {
+    PacketPool::ScopedUse use(&pool_b);
+    std::vector<PacketPtr> batch = handoff.get_future().get();
+    batch.clear();  // every release is remote: pool_a is not bound here
+    dropped.set_value();
+  });
+  a.join();
+  b.join();
+
+  EXPECT_EQ(fresh_after_first, kN);
+  EXPECT_EQ(fresh_after_second, fresh_after_first) << "remote frees must be reused";
+  EXPECT_EQ(recycled_second, kN);
+  const PacketPool::Stats s = pool_a.stats();
+  EXPECT_EQ(s.outstanding, 0u);
+  EXPECT_EQ(pool_a.free_blocks(), kN);
+  EXPECT_EQ(pool_b.stats().fresh_allocations, 0u);
+}
+
+#ifndef NDEBUG
+// The local free path belongs to the thread that has the pool bound: a
+// second thread with no pool bound releasing the pool's packet while the
+// owner holds the binding trips the ownership assert.
+TEST(PacketPoolDeathTest, LocalFreeOffTheOwningThreadAsserts) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_DEATH(
+      {
+        PacketPool pool;
+        PacketPool::ScopedUse use(&pool);
+        PacketPtr p = MakePacket();
+        std::thread other([&p] { p.reset(); });
+        other.join();
+      },
+      "off the thread that has it bound");
+}
+#endif
 
 }  // namespace
 }  // namespace newtos
