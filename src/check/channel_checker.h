@@ -27,9 +27,10 @@
 // server). Those are declared with DeclareSharedProducers(ring, reason) —
 // the deviation is recorded and reported, never silent.
 //
-// Violations are collected, not asserted: the tier-1 build compiles with
-// NDEBUG, and a checker that only works in one build type checks nothing.
-// Call ok() / Report() at the end of a run.
+// Violations are collected, not asserted: some builds (perfbench's stock
+// RelWithDebInfo among them) compile with NDEBUG, and a checker that only
+// works in one build type checks nothing. Call ok() / Report() at the end of
+// a run.
 //
 // AnalyzeTrace() is the offline half: it replays the recorder's async-hop
 // events (enqueue/dequeue edges) through per-track vector clocks and flags

@@ -9,16 +9,7 @@ AppProcess::AppProcess(Simulation* sim, std::string name, Behavior behavior, siz
                        const ChannelCostModel& chan_cost)
     : Server(sim, std::move(name)), behavior_(std::move(behavior)) {
   events_in_ = CreateInput("events", chan_capacity, chan_cost);
-  AddWorkSource(WorkSource{
-      .has_work = [this] { return !pending_req_.empty(); },
-      .take =
-          [this] {
-            Msg m = std::move(pending_req_.front());
-            pending_req_.pop_front();
-            return m;
-          },
-      .overhead_cycles = 0,
-  });
+  AddQueueSource(&pending_req_);
 }
 
 void AppProcess::Request(Msg msg) {
@@ -29,36 +20,17 @@ void AppProcess::Request(Msg msg) {
 
 uint64_t AppProcess::Connect(Ipv4Addr dst, uint16_t port) {
   const uint64_t handle = AllocHandle();
-  Msg m;
-  m.type = MsgType::kSockConnect;
-  m.handle = handle;
-  m.addr = dst;
-  m.port = port;
-  Request(std::move(m));
+  Request(ConnectRequest(handle, dst, port));
   return handle;
 }
 
-void AppProcess::ListenTcp(uint16_t port) {
-  Msg m;
-  m.type = MsgType::kSockListen;
-  m.port = port;
-  Request(std::move(m));
-}
+void AppProcess::ListenTcp(uint16_t port) { Request(ListenRequest(port)); }
 
 void AppProcess::SendBytes(uint64_t handle, uint64_t bytes) {
-  Msg m;
-  m.type = MsgType::kSockSend;
-  m.handle = handle;
-  m.value = bytes;
-  Request(std::move(m));
+  Request(SendRequest(handle, bytes));
 }
 
-void AppProcess::Close(uint64_t handle) {
-  Msg m;
-  m.type = MsgType::kSockClose;
-  m.handle = handle;
-  Request(std::move(m));
-}
+void AppProcess::Close(uint64_t handle) { Request(CloseRequest(handle)); }
 
 void AppProcess::Compute(Cycles cycles, std::function<void()> then) {
   assert(core() != nullptr);

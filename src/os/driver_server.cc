@@ -10,18 +10,7 @@ DriverServer::DriverServer(Simulation* sim, Nic* nic, const DriverCosts& costs,
   tx_in_ = CreateInput("tx", tx_chan_capacity, chan_cost);
   // The NIC RX ring is a work source: frames appear there via DMA and the
   // driver's poll loop drains them.
-  AddWorkSource(WorkSource{
-      .has_work = [this] { return nic_->rx_pending() > 0; },
-      .take =
-          [this] {
-            Msg m;
-            m.type = MsgType::kPacketRx;
-            m.packet = nic_->PollRx();
-            return m;
-          },
-      .overhead_cycles = 150,  // descriptor read + buffer handoff
-  });
-  nic_->SetRxNotify([this] { MaybeSchedule(); });
+  AddNicRxSource(nic_);
 }
 
 Cycles DriverServer::CostFor(const Msg& msg) {

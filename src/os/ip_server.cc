@@ -56,15 +56,7 @@ void IpServer::Handle(const Msg& msg) {
         }
         return;
       }
-      Chan* next = rx_downstream_;
-      if (next == nullptr) {
-        if (p.ip.proto == IpProto::kTcp) {
-          assert(!tcp_rx_.empty());
-          next = tcp_rx_[SymmetricFlowHash(PacketFlowKey(p)) % tcp_rx_.size()];
-        } else {
-          next = udp_rx_;
-        }
-      }
+      Chan* next = rx_downstream_ != nullptr ? rx_downstream_ : l4_.For(p);
       assert(next != nullptr && "IP server needs a PF or L4 downstream");
       if (Emit(next, msg)) {
         ++rx_forwarded_;

@@ -8,6 +8,7 @@
 #define SRC_OS_IP_SERVER_H_
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "src/os/costs.h"
@@ -26,13 +27,8 @@ class IpServer : public Server {
 
   // L4 demux targets, used when no PF stage is interposed. TCP may be
   // sharded: flows spread across the channels by symmetric flow hash.
-  void set_l4_downstreams(Chan* tcp_rx, Chan* udp_rx) {
-    tcp_rx_ = {tcp_rx};
-    udp_rx_ = udp_rx;
-  }
   void set_l4_downstreams(std::vector<Chan*> tcp_rx_shards, Chan* udp_rx) {
-    tcp_rx_ = std::move(tcp_rx_shards);
-    udp_rx_ = udp_rx;
+    l4_ = {std::move(tcp_rx_shards), udp_rx};
   }
   // TX-side downstream: the driver's TX channel.
   void set_tx_downstream(Chan* driver_tx) { tx_downstream_ = driver_tx; }
@@ -61,8 +57,7 @@ class IpServer : public Server {
   Chan* tx_in_ = nullptr;
   Chan* rx_downstream_ = nullptr;
   Chan* tx_downstream_ = nullptr;
-  std::vector<Chan*> tcp_rx_;
-  Chan* udp_rx_ = nullptr;
+  L4Demux l4_;
   uint64_t rx_forwarded_ = 0;
   uint64_t tx_forwarded_ = 0;
   uint64_t icmp_echoes_answered_ = 0;

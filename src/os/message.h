@@ -54,6 +54,36 @@ struct Msg {
 
 const char* MsgTypeName(MsgType t);
 
+// Socket request builders, shared by every socket front end (AppProcess and
+// MonolithicStack::Api). The sender stamps Msg::app.
+inline Msg ConnectRequest(uint64_t handle, Ipv4Addr dst, uint16_t port) {
+  Msg m;
+  m.type = MsgType::kSockConnect;
+  m.handle = handle;
+  m.addr = dst;
+  m.port = port;
+  return m;
+}
+inline Msg ListenRequest(uint16_t port) {
+  Msg m;
+  m.type = MsgType::kSockListen;
+  m.port = port;
+  return m;
+}
+inline Msg SendRequest(uint64_t handle, uint64_t bytes) {
+  Msg m;
+  m.type = MsgType::kSockSend;
+  m.handle = handle;
+  m.value = bytes;
+  return m;
+}
+inline Msg CloseRequest(uint64_t handle) {
+  Msg m;
+  m.type = MsgType::kSockClose;
+  m.handle = handle;
+  return m;
+}
+
 // Causal ids for tracing (found by SimChannel<Msg> via ADL): a message
 // carrying a packet is traceable by the packet's unique id (hop pairing) and
 // its flow id; control/socket messages are not followed across hops.

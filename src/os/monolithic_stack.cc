@@ -10,61 +10,15 @@ MonolithicStack::MonolithicStack(Simulation* sim, Machine* machine, int core_ind
     : Server(sim, "monolithic"),
       addr_(addr),
       costs_(costs),
-      tcp_params_(tcp_params),
-      nic_(machine->nic()) {
+      nic_(machine->nic()),
+      table_(this, addr, tcp_params) {
   BindCore(machine->core(core_index));
-
-  host_ = std::make_unique<TcpHost>(sim, addr_, [this](PacketPtr p) {
-    pending_tx_.push_back(std::move(p));
-    MaybeSchedule();
-  });
-
-  // NIC RX ring (softirq-equivalent work source).
-  AddWorkSource(WorkSource{
-      .has_work = [this] { return nic_->rx_pending() > 0; },
-      .take =
-          [this] {
-            Msg m;
-            m.type = MsgType::kPacketRx;
-            m.packet = nic_->PollRx();
-            return m;
-          },
-      .overhead_cycles = 150,
-  });
-  nic_->SetRxNotify([this] { MaybeSchedule(); });
-
-  AddWorkSource(WorkSource{
-      .has_work = [this] { return !pending_tx_.empty(); },
-      .take =
-          [this] {
-            Msg m;
-            m.type = MsgType::kPacketTx;
-            m.packet = std::move(pending_tx_.front());
-            pending_tx_.pop_front();
-            return m;
-          },
-      .overhead_cycles = 0,
-  });
-  AddWorkSource(WorkSource{
-      .has_work = [this] { return !pending_evt_.empty(); },
-      .take =
-          [this] {
-            Msg m = std::move(pending_evt_.front());
-            pending_evt_.pop_front();
-            return m;
-          },
-      .overhead_cycles = 0,
-  });
-  AddWorkSource(WorkSource{
-      .has_work = [this] { return !pending_req_.empty(); },
-      .take =
-          [this] {
-            Msg m = std::move(pending_req_.front());
-            pending_req_.pop_front();
-            return m;
-          },
-      .overhead_cycles = 0,
-  });
+  // NIC RX ring (softirq-equivalent), then the protocol's outbound segments,
+  // socket events, and socket requests.
+  AddNicRxSource(nic_);
+  AddQueueSource(table_.segments());
+  AddQueueSource(table_.events());
+  AddQueueSource(&pending_req_);
 }
 
 MonolithicStack::Api* MonolithicStack::CreateApp() {
@@ -74,75 +28,10 @@ MonolithicStack::Api* MonolithicStack::CreateApp() {
   return apis_.back().get();
 }
 
-void MonolithicStack::QueueEvent(Msg evt) {
-  pending_evt_.push_back(std::move(evt));
-  MaybeSchedule();
-}
-
-void MonolithicStack::SubmitRequest(Msg msg) {
+void MonolithicStack::SubmitRequest(uint32_t app, Msg msg) {
+  msg.app = app;
   pending_req_.push_back(std::move(msg));
   MaybeSchedule();
-}
-
-TcpHost::AppHooks MonolithicStack::HooksFor(SockId id) {
-  TcpHost::AppHooks hooks;
-  hooks.on_established = [this, id](TcpConnection* c) {
-    auto it = by_conn_.find(c);
-    Msg evt;
-    if (it == by_conn_.end()) {
-      const SockId assigned{id.app, next_accept_handle_++};
-      by_conn_[c] = assigned;
-      by_sock_[assigned] = c;
-      evt.type = MsgType::kEvtAccepted;
-      evt.handle = assigned.handle;
-      evt.app = assigned.app;
-      evt.port = c->key().src_port;
-    } else {
-      evt.type = MsgType::kEvtEstablished;
-      evt.handle = it->second.handle;
-      evt.app = it->second.app;
-    }
-    QueueEvent(std::move(evt));
-  };
-  hooks.on_data = [this](TcpConnection* c, uint32_t bytes) {
-    auto it = by_conn_.find(c);
-    if (it == by_conn_.end()) {
-      return;
-    }
-    Msg evt;
-    evt.type = MsgType::kEvtData;
-    evt.handle = it->second.handle;
-    evt.app = it->second.app;
-    evt.value = bytes;
-    QueueEvent(std::move(evt));
-  };
-  hooks.on_drained = [this](TcpConnection* c) {
-    auto it = by_conn_.find(c);
-    if (it == by_conn_.end()) {
-      return;
-    }
-    Msg evt;
-    evt.type = MsgType::kEvtDrained;
-    evt.handle = it->second.handle;
-    evt.app = it->second.app;
-    QueueEvent(std::move(evt));
-  };
-  hooks.on_closed = [this](TcpConnection* c) {
-    auto it = by_conn_.find(c);
-    if (it == by_conn_.end()) {
-      return;
-    }
-    Msg evt;
-    evt.type = MsgType::kEvtClosed;
-    evt.handle = it->second.handle;
-    evt.app = it->second.app;
-    by_sock_.erase(it->second);
-    by_conn_.erase(it);
-    QueueEvent(std::move(evt));
-    // Deferred reap on the host's own wheel (see TcpServer for rationale).
-    host_->ScheduleReap();
-  };
-  return hooks;
 }
 
 Cycles MonolithicStack::CostFor(const Msg& msg) {
@@ -162,39 +51,6 @@ Cycles MonolithicStack::CostFor(const Msg& msg) {
   }
 }
 
-void MonolithicStack::HandleSockRequest(const Msg& msg) {
-  const SockId id{msg.app, msg.handle};
-  switch (msg.type) {
-    case MsgType::kSockConnect: {
-      TcpConnection* conn = host_->Connect(msg.addr, msg.port, HooksFor(id), tcp_params_);
-      if (conn != nullptr) {
-        by_sock_[id] = conn;
-        by_conn_[conn] = id;
-      }
-      break;
-    }
-    case MsgType::kSockListen:
-      host_->Listen(msg.port, HooksFor(SockId{msg.app, 0}), tcp_params_);
-      break;
-    case MsgType::kSockSend: {
-      auto it = by_sock_.find(id);
-      if (it != by_sock_.end()) {
-        it->second->Send(msg.value);
-      }
-      break;
-    }
-    case MsgType::kSockClose: {
-      auto it = by_sock_.find(id);
-      if (it != by_sock_.end()) {
-        it->second->CloseSend();
-      }
-      break;
-    }
-    default:
-      break;
-  }
-}
-
 void MonolithicStack::Handle(const Msg& msg) {
   switch (msg.type) {
     case MsgType::kPacketRx:
@@ -204,7 +60,7 @@ void MonolithicStack::Handle(const Msg& msg) {
       }
       ++packets_in_;
       if (msg.packet->ip.dst == addr_ && msg.packet->ip.proto == IpProto::kTcp) {
-        host_->OnPacket(msg.packet);
+        table_.host().OnPacket(msg.packet);
       }
       break;
     case MsgType::kPacketTx:
@@ -222,7 +78,7 @@ void MonolithicStack::Handle(const Msg& msg) {
       }
       break;
     default:
-      HandleSockRequest(msg);
+      table_.HandleRequest(msg);
       break;
   }
 }
@@ -235,39 +91,20 @@ void MonolithicStack::Api::SetEventHandler(std::function<void(const Msg&)> handl
 
 uint64_t MonolithicStack::Api::Connect(Ipv4Addr dst, uint16_t port) {
   const uint64_t handle = stack_->next_handle_++;
-  Msg m;
-  m.type = MsgType::kSockConnect;
-  m.handle = handle;
-  m.addr = dst;
-  m.port = port;
-  m.app = app_id_;
-  stack_->SubmitRequest(std::move(m));
+  stack_->SubmitRequest(app_id_, ConnectRequest(handle, dst, port));
   return handle;
 }
 
 void MonolithicStack::Api::Listen(uint16_t port) {
-  Msg m;
-  m.type = MsgType::kSockListen;
-  m.port = port;
-  m.app = app_id_;
-  stack_->SubmitRequest(std::move(m));
+  stack_->SubmitRequest(app_id_, ListenRequest(port));
 }
 
 void MonolithicStack::Api::Send(uint64_t handle, uint64_t bytes) {
-  Msg m;
-  m.type = MsgType::kSockSend;
-  m.handle = handle;
-  m.value = bytes;
-  m.app = app_id_;
-  stack_->SubmitRequest(std::move(m));
+  stack_->SubmitRequest(app_id_, SendRequest(handle, bytes));
 }
 
 void MonolithicStack::Api::Close(uint64_t handle) {
-  Msg m;
-  m.type = MsgType::kSockClose;
-  m.handle = handle;
-  m.app = app_id_;
-  stack_->SubmitRequest(std::move(m));
+  stack_->SubmitRequest(app_id_, CloseRequest(handle));
 }
 
 void MonolithicStack::Api::Compute(Cycles cycles, std::function<void()> then) {

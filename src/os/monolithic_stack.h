@@ -10,7 +10,10 @@
 //
 // Implemented as a Server pinned to the app core so that stack work and app
 // Compute() serialize through the same FIFO executor, exactly like softirqs
-// and userspace sharing a CPU.
+// and userspace sharing a CPU. The socket layer is TcpServer's: one
+// SocketTable (src/os/socket_table.h) holds the host, the (app, handle) <->
+// connection maps and the kSock* dispatch, run here as a single shard that
+// never crashes. Only the costs and the delivery path differ.
 
 #ifndef SRC_OS_MONOLITHIC_STACK_H_
 #define SRC_OS_MONOLITHIC_STACK_H_
@@ -18,7 +21,6 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "src/hw/machine.h"
@@ -26,6 +28,7 @@
 #include "src/os/costs.h"
 #include "src/os/server.h"
 #include "src/os/socket_api.h"
+#include "src/os/socket_table.h"
 #include "src/sim/ring_deque.h"
 
 namespace newtos {
@@ -64,7 +67,7 @@ class MonolithicStack : public Server {
 
   Api* CreateApp();
 
-  TcpHost& host() { return *host_; }
+  TcpHost& host() { return table_.host(); }
   Core* app_core() { return core(); }
   const MonolithicCosts& costs() const { return costs_; }
   uint64_t packets_in() const { return packets_in_; }
@@ -77,38 +80,18 @@ class MonolithicStack : public Server {
   void Handle(const Msg& msg) override;
 
  private:
-  struct SockId {
-    uint32_t app = 0;
-    uint64_t handle = 0;
-    friend bool operator==(const SockId&, const SockId&) = default;
-  };
-  struct SockIdHash {
-    size_t operator()(const SockId& s) const {
-      return std::hash<uint64_t>()(s.handle * 0x9e3779b97f4a7c15ULL ^ s.app);
-    }
-  };
-
-  void QueueEvent(Msg evt);
-  void SubmitRequest(Msg msg);
-  TcpHost::AppHooks HooksFor(SockId id);
-  void HandleSockRequest(const Msg& msg);
+  void SubmitRequest(uint32_t app, Msg msg);
 
   Ipv4Addr addr_;
   MonolithicCosts costs_;
-  TcpParams tcp_params_;
   Nic* nic_;
 
-  std::unique_ptr<TcpHost> host_;
-  RingDeque<PacketPtr> pending_tx_;
-  RingDeque<Msg> pending_evt_;
+  SocketTable table_;
   RingDeque<Msg> pending_req_;
 
   std::vector<std::unique_ptr<Api>> apis_;
   std::vector<std::function<void(const Msg&)>> handlers_;
-  std::unordered_map<SockId, TcpConnection*, SockIdHash> by_sock_;
-  std::unordered_map<TcpConnection*, SockId> by_conn_;
-  uint64_t next_handle_ = 1;
-  uint64_t next_accept_handle_ = (1ULL << 62);
+  uint64_t next_handle_ = 1;  // one handle sequence for the whole stack
 
   uint64_t packets_in_ = 0;
   uint64_t packets_out_ = 0;

@@ -34,13 +34,7 @@ void PfServer::Handle(const Msg& msg) {
     ++dropped_;
     return;
   }
-  Chan* next = nullptr;
-  if (msg.packet->ip.proto == IpProto::kTcp) {
-    assert(!tcp_rx_.empty() && "PF server needs L4 downstreams");
-    next = tcp_rx_[SymmetricFlowHash(PacketFlowKey(*msg.packet)) % tcp_rx_.size()];
-  } else {
-    next = udp_rx_;
-  }
+  Chan* next = l4_.For(*msg.packet);
   assert(next != nullptr && "PF server needs L4 downstreams");
   if (Emit(next, msg)) {
     ++accepted_;

@@ -9,6 +9,7 @@
 #define SRC_OS_PF_SERVER_H_
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "src/net/filter.h"
@@ -22,13 +23,9 @@ class PfServer : public Server {
   PfServer(Simulation* sim, PacketFilter filter, const PfCosts& costs, size_t chan_capacity,
            const ChannelCostModel& chan_cost);
 
-  void set_l4_downstreams(Chan* tcp_rx, Chan* udp_rx) {
-    tcp_rx_ = {tcp_rx};
-    udp_rx_ = udp_rx;
-  }
+  // L4 demux targets: TCP shards by symmetric flow hash, or UDP.
   void set_l4_downstreams(std::vector<Chan*> tcp_rx_shards, Chan* udp_rx) {
-    tcp_rx_ = std::move(tcp_rx_shards);
-    udp_rx_ = udp_rx;
+    l4_ = {std::move(tcp_rx_shards), udp_rx};
   }
 
   Chan* rx_in() { return rx_in_; }
@@ -46,8 +43,7 @@ class PfServer : public Server {
   PacketFilter filter_;
   PfCosts costs_;
   Chan* rx_in_ = nullptr;
-  std::vector<Chan*> tcp_rx_;
-  Chan* udp_rx_ = nullptr;
+  L4Demux l4_;
   uint64_t accepted_ = 0;
   uint64_t dropped_ = 0;
 };

@@ -3,6 +3,7 @@
 #include <cassert>
 #include <utility>
 
+#include "src/hw/nic.h"
 #include "src/sim/logger.h"
 
 namespace newtos {
@@ -71,6 +72,21 @@ std::vector<Server::Chan*> Server::Inputs() const {
 }
 
 void Server::AddWorkSource(WorkSource source) { sources_.push_back(std::move(source)); }
+
+void Server::AddNicRxSource(Nic* nic) {
+  AddWorkSource(WorkSource{
+      .has_work = [nic] { return nic->rx_pending() > 0; },
+      .take =
+          [nic] {
+            Msg m;
+            m.type = MsgType::kPacketRx;
+            m.packet = nic->PollRx();
+            return m;
+          },
+      .overhead_cycles = 150,  // descriptor read + buffer handoff
+  });
+  nic->SetRxNotify([this] { MaybeSchedule(); });
+}
 
 Server::WorkSource* Server::PickSource() {
   const size_t n = sources_.size();

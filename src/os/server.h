@@ -21,6 +21,7 @@
 #ifndef SRC_OS_SERVER_H_
 #define SRC_OS_SERVER_H_
 
+#include <cassert>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
@@ -34,10 +35,13 @@
 #include "src/chan/sim_channel.h"
 #include "src/hw/cpu.h"
 #include "src/os/message.h"
+#include "src/sim/ring_deque.h"
 #include "src/sim/simulation.h"
 #include "src/trace/recorder.h"
 
 namespace newtos {
+
+class Nic;
 
 // Tracing hooks for one server (wired by StackTracer, src/trace/stack_trace.h).
 // All ids are interned at setup; the per-burst recording path is
@@ -124,6 +128,22 @@ class Server {
     Cycles overhead_cycles = 0;         // dequeue-equivalent cost of taking one item
   };
   void AddWorkSource(WorkSource source);
+
+  // Registers one of the server's own FIFOs as a work source with no dequeue
+  // overhead: each take pops the front. A queue of packets yields kPacketTx
+  // messages (segments the server's protocol state generated).
+  template <typename T>
+  void AddQueueSource(RingDeque<T>* queue) {
+    AddWorkSource(WorkSource{
+        .has_work = [queue] { return !queue->empty(); },
+        .take = [queue] { return PopFront(queue); },
+        .overhead_cycles = 0,
+    });
+  }
+
+  // Registers the NIC's RX ring as a work source (kPacketRx) and points the
+  // NIC's RX notify at this server's poll loop.
+  void AddNicRxSource(Nic* nic);
 
   // Kicks the poll loop; cheap and idempotent. Called by channel notifies.
   void MaybeSchedule();
@@ -221,6 +241,19 @@ class Server {
   uint32_t check_actor() const { return check_actor_; }
 
  private:
+  static Msg PopFront(RingDeque<Msg>* queue) {
+    Msg m = std::move(queue->front());
+    queue->pop_front();
+    return m;
+  }
+  static Msg PopFront(RingDeque<PacketPtr>* queue) {
+    Msg m;
+    m.type = MsgType::kPacketTx;
+    m.packet = std::move(queue->front());
+    queue->pop_front();
+    return m;
+  }
+
   // Reports `idle` (what Idle() returns now) to the observer if it changed.
   void NotifyIdleChange(bool idle);
   WorkSource* PickSource();
@@ -288,6 +321,22 @@ class Server {
   std::function<void(bool)> idle_observer_;
   ChannelChecker* check_ = nullptr;
   uint32_t check_actor_ = 0;
+};
+
+// Inbound L4 demux, shared by the IP server (no PF stage) and the PF server:
+// a TCP segment goes to the shard its symmetric flow hash picks, anything
+// else to UDP.
+struct L4Demux {
+  std::vector<Server::Chan*> tcp_shards;
+  Server::Chan* udp = nullptr;
+
+  Server::Chan* For(const Packet& p) const {
+    if (p.ip.proto != IpProto::kTcp) {
+      return udp;
+    }
+    assert(!tcp_shards.empty() && "L4 demux needs the TCP shards");
+    return tcp_shards[SymmetricFlowHash(PacketFlowKey(p)) % tcp_shards.size()];
+  }
 };
 
 }  // namespace newtos

@@ -8,6 +8,10 @@
 //     application's core (src/os/monolithic_stack.h).
 // That symmetry is what makes the head-to-head comparisons (Tab. 2) fair:
 // identical workload logic, identical protocol code, different architecture.
+// Below this interface the socket layer is shared too: both front ends build
+// their requests with the builders in message.h, and TcpServer and
+// MonolithicStack each run them through a SocketTable (src/os/socket_table.h),
+// so a socket call gets the same answer from either architecture.
 
 #ifndef SRC_OS_SOCKET_API_H_
 #define SRC_OS_SOCKET_API_H_

@@ -2,7 +2,7 @@
 
 #include <cassert>
 
-#include "src/os/tcp_server.h"
+#include "src/os/socket_table.h"
 
 namespace newtos {
 
@@ -35,8 +35,8 @@ uint32_t SyscallServer::ShardFor(const Msg& msg) {
   if (it != connect_routes_.end()) {
     return it->second;
   }
-  if (TcpServer::IsAcceptHandle(msg.handle)) {
-    return TcpServer::ShardOfAcceptHandle(msg.handle) %
+  if (SocketTable::IsAcceptHandle(msg.handle)) {
+    return SocketTable::ShardOfAcceptHandle(msg.handle) %
            static_cast<uint32_t>(l4_req_outs_.size());
   }
   return 0;

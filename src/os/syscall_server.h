@@ -29,7 +29,6 @@ class SyscallServer : public Server {
   // shard then picks an RSS-compatible source port), and per-handle requests
   // follow the owning shard (accept handles carry it; connect handles are
   // remembered at routing time).
-  void set_l4_request_out(Chan* out) { l4_req_outs_ = {out}; }
   void set_l4_request_outs(std::vector<Chan*> outs) { l4_req_outs_ = std::move(outs); }
 
   // Requests from applications enter here.

@@ -10,6 +10,10 @@
 // their output into the same internal queues, so retransmissions pay the
 // server's cycle costs like any other segment.
 //
+// The socket layer (the (app, handle) <-> connection maps, accept handles,
+// listeners, kSock* dispatch and both internal queues) is a SocketTable,
+// shared with MonolithicStack (src/os/socket_table.h).
+//
 // Crash model: with checkpointing off (the default), a crash destroys every
 // connection — apps get kEvtClosed on restart and listeners are re-created
 // from the recovery set, mirroring a stateful-server microreboot. With
@@ -21,15 +25,12 @@
 #define SRC_OS_TCP_SERVER_H_
 
 #include <cstdint>
-#include <functional>
-#include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "src/net/tcp_host.h"
 #include "src/os/costs.h"
 #include "src/os/server.h"
-#include "src/sim/ring_deque.h"
+#include "src/os/socket_table.h"
 
 namespace newtos {
 
@@ -55,19 +56,12 @@ class TcpServer : public Server {
   // Sharded deployment: this instance is shard `index` of `count`. Inbound
   // flows are routed here by symmetric flow hash (IP/PF demux); outbound
   // connections pick ephemeral ports that hash back to this shard; accepted
-  // handles encode the shard in bits 48..61 so the gateway can route
-  // follow-up requests. Call before any traffic.
-  void set_shard(uint32_t index, uint32_t count);
-  uint32_t shard_index() const { return shard_index_; }
-
-  // Shard owning `handle` for accept-side handles (bit 62 set).
-  static uint32_t ShardOfAcceptHandle(uint64_t handle) {
-    return static_cast<uint32_t>((handle >> 48) & 0x3fff);
-  }
-  static bool IsAcceptHandle(uint64_t handle) { return (handle >> 62) & 1; }
+  // handles encode the shard (SocketTable::ShardOfAcceptHandle) so the
+  // gateway can route follow-up requests. Call before any traffic.
+  void set_shard(uint32_t index, uint32_t count) { table_.set_shard(index, count); }
 
   // Exposes protocol state for tests/metrics (do not mutate mid-run).
-  TcpHost& host() { return *host_; }
+  TcpHost& host() { return table_.host(); }
 
   const TcpCosts& costs() const { return costs_; }
   uint64_t segments_in() const { return segments_in_; }
@@ -84,44 +78,12 @@ class TcpServer : public Server {
   void OnRestart() override;
 
  private:
-  struct SockId {
-    uint32_t app = 0;
-    uint64_t handle = 0;
-    friend bool operator==(const SockId&, const SockId&) = default;
-  };
-  struct SockIdHash {
-    size_t operator()(const SockId& s) const {
-      return std::hash<uint64_t>()(s.handle * 0x9e3779b97f4a7c15ULL ^ s.app);
-    }
-  };
-
-  void MakeHost();
-  TcpHost::AppHooks HooksFor(SockId id);
-  void QueueEvent(Msg evt);
-  void HandleSockRequest(const Msg& msg);
-
-  Ipv4Addr addr_;
   TcpCosts costs_;
-  TcpParams tcp_params_;
   Chan* rx_in_ = nullptr;
   Chan* app_in_ = nullptr;
   Chan* ip_tx_ = nullptr;
-
-  std::unique_ptr<TcpHost> host_;
-  RingDeque<PacketPtr> pending_tx_;
-  RingDeque<Msg> pending_evt_;
-
+  SocketTable table_;
   std::vector<Chan*> apps_;  // index = app id
-  std::unordered_map<SockId, TcpConnection*, SockIdHash> by_sock_;
-  std::unordered_map<TcpConnection*, SockId> by_conn_;
-  struct ListenEntry {
-    uint16_t tcp_port = 0;
-    uint32_t app = 0;
-  };
-  std::vector<ListenEntry> listeners_;  // recovery set
-  uint64_t next_accept_handle_ = (1ULL << 62);
-  uint32_t shard_index_ = 0;
-  uint32_t shard_count_ = 1;
 
   bool checkpointing_ = false;
   uint64_t segments_in_ = 0;

@@ -11,28 +11,8 @@ UdpServer::UdpServer(Simulation* sim, Ipv4Addr addr, const UdpCosts& costs, size
   rx_in_ = CreateInput("rx", chan_capacity, chan_cost);
   app_in_ = CreateInput("app", chan_capacity, chan_cost);
 
-  AddWorkSource(WorkSource{
-      .has_work = [this] { return !pending_tx_.empty(); },
-      .take =
-          [this] {
-            Msg m;
-            m.type = MsgType::kPacketTx;
-            m.packet = std::move(pending_tx_.front());
-            pending_tx_.pop_front();
-            return m;
-          },
-      .overhead_cycles = 0,
-  });
-  AddWorkSource(WorkSource{
-      .has_work = [this] { return !pending_evt_.empty(); },
-      .take =
-          [this] {
-            Msg m = std::move(pending_evt_.front());
-            pending_evt_.pop_front();
-            return m;
-          },
-      .overhead_cycles = 0,
-  });
+  AddQueueSource(&pending_tx_);
+  AddQueueSource(&pending_evt_);
 
   MakeHost();
 }

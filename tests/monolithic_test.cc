@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "src/core/testbed.h"
 #include "src/workload/httpd.h"
 #include "src/workload/iperf.h"
@@ -123,6 +126,52 @@ TEST(Monolithic, PacketCountersAdvance) {
   EXPECT_GT(tb.mono()->packets_in(), 0u);
   EXPECT_GT(tb.mono()->packets_out(), 0u);
 }
+
+// Both architectures run one socket table (src/os/socket_table.h), so a
+// socket call on a dead handle gets the same answer from either. The
+// parameter is TestbedOptions::monolithic.
+class SocketSemantics : public ::testing::TestWithParam<bool> {};
+
+TEST_P(SocketSemantics, SendOnClosedHandleAnswersClosed) {
+  TestbedOptions opt;
+  opt.monolithic = GetParam();
+  Testbed tb(opt);
+  SocketApi* api = opt.monolithic ? static_cast<SocketApi*>(tb.mono()->CreateApp())
+                                  : tb.stack()->CreateApp("app", tb.machine().core(0));
+
+  // The peer closes its half as soon as the connection is up; the app closes
+  // its own once established, so the connection is fully closed soon after.
+  constexpr uint16_t kPort = 7000;
+  TcpHost::AppHooks peer_hooks;
+  peer_hooks.on_established = [](TcpConnection* c) { c->CloseSend(); };
+  ASSERT_TRUE(tb.peer().tcp().Listen(kPort, peer_hooks, tb.peer().tcp_params()));
+
+  uint64_t handle = 0;
+  std::vector<MsgType> events;
+  api->SetEventHandler([&](const Msg& m) {
+    if (m.handle != handle ||
+        (m.type != MsgType::kEvtEstablished && m.type != MsgType::kEvtClosed)) {
+      return;
+    }
+    events.push_back(m.type);
+    if (m.type == MsgType::kEvtEstablished) {
+      api->Close(handle);
+    } else if (events.size() == 2) {
+      api->Send(handle, 1000);  // the connection is gone: must be answered
+    }
+  });
+  handle = api->Connect(tb.peer_addr(), kPort);
+  tb.sim().RunFor(50 * kMillisecond);
+
+  EXPECT_EQ(events, (std::vector<MsgType>{MsgType::kEvtEstablished, MsgType::kEvtClosed,
+                                          MsgType::kEvtClosed}));
+}
+
+std::string ArchName(const ::testing::TestParamInfo<bool>& p) {
+  return p.param ? "monolithic" : "multiserver";
+}
+
+INSTANTIATE_TEST_SUITE_P(Architectures, SocketSemantics, ::testing::Bool(), ArchName);
 
 }  // namespace
 }  // namespace newtos

@@ -48,20 +48,12 @@ class RecordingServer : public Server {
 };
 
 // One channel source plus one internal-queue source (the shape of the TCP
-// and UDP servers' pending_tx_/pending_evt_ sources).
+// and UDP servers' segment and event queues, registered by AddQueueSource).
 class MixedSourceServer : public Server {
  public:
   explicit MixedSourceServer(Simulation* sim) : Server(sim, "mixed") {
     in_ = CreateInput("in", 16);
-    AddWorkSource(WorkSource{
-        .has_work = [this] { return !queue_.empty(); },
-        .take =
-            [this] {
-              Msg m = std::move(queue_.front());
-              queue_.pop_front();
-              return m;
-            },
-    });
+    AddQueueSource(&queue_);
   }
 
   Chan* in() { return in_; }

@@ -86,9 +86,9 @@ TEST(TcpSharding, ActiveConnectionsPickRssCompatiblePorts) {
 }
 
 TEST(TcpSharding, AcceptHandleEncodesShard) {
-  EXPECT_TRUE(TcpServer::IsAcceptHandle((1ULL << 62) | (5ULL << 48) | 7));
-  EXPECT_FALSE(TcpServer::IsAcceptHandle(42));
-  EXPECT_EQ(TcpServer::ShardOfAcceptHandle((1ULL << 62) | (5ULL << 48) | 7), 5u);
+  EXPECT_TRUE(SocketTable::IsAcceptHandle((1ULL << 62) | (5ULL << 48) | 7));
+  EXPECT_FALSE(SocketTable::IsAcceptHandle(42));
+  EXPECT_EQ(SocketTable::ShardOfAcceptHandle((1ULL << 62) | (5ULL << 48) | 7), 5u);
 }
 
 TEST(TcpSharding, TwoShardsBeatOneOnSlowCores) {
