@@ -26,8 +26,8 @@ namespace {
 void AddRow(Table& t, const std::string& name, const BulkResult& r) {
   const double joules_per_gbit =
       r.goodput_gbps > 0.0 ? r.avg_pkg_watts / r.goodput_gbps : 0.0;
-  t.AddRow({name, Table::Num(r.goodput_gbps, 2), Table::Num(r.avg_pkg_watts, 1),
-            Table::Num(joules_per_gbit, 2)});
+  t.AddRow({name, Table::Num(r.goodput_gbps, 4), Table::Num(r.avg_pkg_watts, 3),
+            Table::Num(joules_per_gbit, 4)});
 }
 
 void Run(const char* argv0) {

@@ -21,8 +21,8 @@ namespace newtos {
 namespace {
 
 void AddRow(Table& t, const std::string& name, const BulkResult& r) {
-  t.AddRow({name, Table::Num(r.goodput_gbps, 2), Table::Num(r.avg_pkg_watts, 1),
-            Table::Num(r.goodput_gbps > 0 ? r.avg_pkg_watts / r.goodput_gbps : 0.0, 2)});
+  t.AddRow({name, Table::Num(r.goodput_gbps, 4), Table::Num(r.avg_pkg_watts, 3),
+            Table::Num(r.goodput_gbps > 0 ? r.avg_pkg_watts / r.goodput_gbps : 0.0, 4)});
 }
 
 void Run(const char* argv0) {
