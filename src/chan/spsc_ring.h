@@ -85,7 +85,8 @@ class SpscRing {
   // Attempts to enqueue; returns false if the ring is full. Space is checked
   // before the value is touched, so a failed push copies (or moves) nothing
   // and a successful one constructs the slot exactly once: for the live
-  // stack's 1,488-byte RtMsg, one slot write per hop.
+  // stack's one-line RtMsg header and 1,472-byte RtPayload, one slot write
+  // per hop.
   bool TryPush(const T& value) { return TryEmplace(value); }
   bool TryPush(T&& value) { return TryEmplace(std::move(value)); }
 

@@ -4,7 +4,6 @@
 #include <atomic>
 #include <cassert>
 #include <optional>
-#include <sstream>
 #include <string_view>
 #include <utility>
 
@@ -94,8 +93,14 @@ struct WdOut {
 // ctx.Idle() with a recheck that mirrors exactly the conditions under which
 // the loop could make progress.
 
-void AppBody(ServerContext& ctx, SharedState* sh, ThreadChannel<RtMsg>* out, WdPort wd,
-             TraceRecorder* rec, TrackId track, NameId e2e) {
+// The app sends each segment over two rings it alone produces on: the
+// bytes into `pay_out` first, then the header into `out`, so the peer
+// never sees a header before its payload. A header the full `out` refused
+// is retried alone; its payload already waits in `pay_out`, which has room
+// for every header the data rings can hold plus that one (RunLiveFig2).
+void AppBody(ServerContext& ctx, SharedState* sh, ThreadChannel<RtMsg>* out,
+             ThreadChannel<RtPayload>* pay_out, WdPort wd, TraceRecorder* rec, TrackId track,
+             NameId e2e) {
   const uint64_t total = sh->cfg->transfer_bytes;
   const uint32_t mss = sh->cfg->mss;
   uint64_t off = 0;
@@ -103,7 +108,7 @@ void AppBody(ServerContext& ctx, SharedState* sh, ThreadChannel<RtMsg>* out, WdP
   bool shutdown_sent = false;
   bool wd_done = !wd.active();
   RtMsg m;
-  bool msg_ready = false;
+  bool payload_sent = false;  // m's payload is in pay_out, its header not yet in out
 
   while (!(shutdown_sent && wd_done)) {
     if (ctx.StopRequested()) {
@@ -111,25 +116,26 @@ void AppBody(ServerContext& ctx, SharedState* sh, ThreadChannel<RtMsg>* out, WdP
     }
     bool work = false;
     if (off < total) {
-      if (!msg_ready) {
+      if (!payload_sent) {
         const uint32_t len =
             static_cast<uint32_t>(std::min<uint64_t>(mss, total - off));
-        m.type = RtMsg::Type::kData;
-        m.len = static_cast<uint16_t>(len);
-        m.seq = seq;
-        m.stream_off = off;
-        FillRtPayload(m, off, len);
-        msg_ready = true;
-      }
-      m.born_ns = sh->clock.NowNs();
-      if (out->TryPush(m)) {
-        if (TraceOn(rec)) {
-          rec->AsyncBegin(sh->clock.NowPs(), track, e2e, seq + 1);
+        if (pay_out->TryEmplace(off, len)) {
+          m = RtMsg(RtMsg::Type::kData, seq, off);
+          m.len = static_cast<uint16_t>(len);
+          payload_sent = true;
         }
-        off += m.len;
-        ++seq;
-        msg_ready = false;
-        work = true;
+      }
+      if (payload_sent) {
+        m.born_ns = sh->clock.NowNs();
+        if (out->TryPush(m)) {
+          if (TraceOn(rec)) {
+            rec->AsyncBegin(sh->clock.NowPs(), track, e2e, seq + 1);
+          }
+          off += m.len;
+          ++seq;
+          payload_sent = false;
+          work = true;
+        }
       }
     } else if (!shutdown_sent) {
       if (out->TryEmplace(RtMsg::Type::kShutdown, seq)) {
@@ -241,8 +247,8 @@ void IpBody(ServerContext& ctx, ForwardDir down, ForwardDir up, WdPort wd) {
 }
 
 void PeerBody(ServerContext& ctx, SharedState* sh, ThreadChannel<RtMsg>* data_in,
-              ThreadChannel<RtMsg>* ack_out, WdPort wd, PeerOut* out, TraceRecorder* rec,
-              TrackId track, NameId e2e) {
+              ThreadChannel<RtPayload>* pay_in, ThreadChannel<RtMsg>* ack_out, WdPort wd,
+              PeerOut* out, TraceRecorder* rec, TrackId track, NameId e2e) {
   bool wd_done = !wd.active();
   // An ack or shutdown echo the full ack ring refused, header only.
   std::optional<RtMsg> pending_ack;
@@ -271,7 +277,14 @@ void PeerBody(ServerContext& ctx, SharedState* sh, ThreadChannel<RtMsg>* data_in
       }
       work = true;
       if (m->type == RtMsg::Type::kData) {
-        out->payload_errors += RtPayloadErrors(*m);
+        // The app pushed this segment's payload before its header, so it is
+        // at the front of pay_in; a missing one counts every byte as wrong.
+        if (const RtPayload* p = pay_in->Front()) {
+          out->payload_errors += RtSegmentErrors(*m, *p);
+          pay_in->PopFront();
+        } else {
+          out->payload_errors += m->len;
+        }
         out->delivered += m->len;
         ++out->chunks;
         // Same FNV-1a fold as StreamIntegrityChecker::OnChunk — the digest
@@ -447,16 +460,19 @@ LiveStackResult RunLiveFig2(const LiveStackConfig& config) {
   // row must exist and be flagged for this stack flavour, so the code cannot
   // instantiate a ring the table (and the checks over it) does not know
   // about.
-  auto add_spec = [&](std::string_view name) -> Chan* {
+  auto declared = [&](std::string_view name) -> std::string {
     for (const LiveRingSpec& s : kLiveRingSpecs) {
       if (name == s.name) {
         assert((config.mini ? s.in_mini : s.in_full) &&
                "live ring not declared for this stack flavour in live_wiring.h");
-        return add_chan(s.name, config.ring_capacity);
+        return s.name;
       }
     }
     assert(false && "live ring missing from kLiveRingSpecs (live_wiring.h)");
-    return nullptr;
+    return std::string(name);
+  };
+  auto add_spec = [&](std::string_view name) {
+    return add_chan(declared(name), config.ring_capacity);
   };
 
   Chan* a2t = add_spec("app/tcp");
@@ -464,6 +480,16 @@ LiveStackResult RunLiveFig2(const LiveStackConfig& config) {
   Chan* i2p = config.mini ? nullptr : add_spec("ip/peer");
   Chan* p2up = add_spec(config.mini ? "peer/tcp" : "peer/ip");
   Chan* i2t = config.mini ? nullptr : add_spec("ip/tcp");
+
+  // The payload ring holds every segment whose header is in a data ring on
+  // the app→peer path, plus the one whose header the app is still pushing,
+  // so it never refuses the app and needs no doorbells: the app never waits
+  // on it, and the peer reads it only after a header arrived.
+  size_t in_flight = a2t->capacity() + t2down->capacity();
+  if (i2p != nullptr) {
+    in_flight += i2p->capacity();
+  }
+  ThreadChannel<RtPayload> payload(declared("app/peer"), in_flight + 1);
 
   // Watchdog rings (full stack only): one heartbeat + one ack ring per
   // watched server, SPSC preserved — the watchdog is sole producer on every
@@ -533,17 +559,18 @@ LiveStackResult RunLiveFig2(const LiveStackConfig& config) {
 
   if (config.mini) {
     ctxs.push_back(&engine.Add("app", cpu_for(0), finish([&](ServerContext& ctx) {
-      AppBody(ctx, &sh, a2t, WdPort{}, recs[0], tracks[0], e2e_app);
+      AppBody(ctx, &sh, a2t, &payload, WdPort{}, recs[0], tracks[0], e2e_app);
     })));
     ctxs.push_back(&engine.Add("tcp", cpu_for(1), finish([&](ServerContext& ctx) {
       TcpBody(ctx, &sh, a2t, t2down, p2up, WdPort{});
     })));
     ctxs.push_back(&engine.Add("peer", cpu_for(2), finish([&](ServerContext& ctx) {
-      PeerBody(ctx, &sh, t2down, p2up, WdPort{}, &peer_out, recs[2], tracks[2], e2e_peer);
+      PeerBody(ctx, &sh, t2down, &payload, p2up, WdPort{}, &peer_out, recs[2], tracks[2],
+               e2e_peer);
     })));
   } else {
     ctxs.push_back(&engine.Add("app", cpu_for(0), finish([&](ServerContext& ctx) {
-      AppBody(ctx, &sh, a2t, wd_port(0), recs[0], tracks[0], e2e_app);
+      AppBody(ctx, &sh, a2t, &payload, wd_port(0), recs[0], tracks[0], e2e_app);
     })));
     ctxs.push_back(&engine.Add("tcp", cpu_for(1), finish([&](ServerContext& ctx) {
       TcpBody(ctx, &sh, a2t, t2down, i2t, wd_port(1));
@@ -552,7 +579,8 @@ LiveStackResult RunLiveFig2(const LiveStackConfig& config) {
       IpBody(ctx, ForwardDir{t2down, i2p}, ForwardDir{p2up, i2t}, wd_port(2));
     })));
     ctxs.push_back(&engine.Add("peer", cpu_for(3), finish([&](ServerContext& ctx) {
-      PeerBody(ctx, &sh, i2p, p2up, wd_port(3), &peer_out, recs[3], tracks[3], e2e_peer);
+      PeerBody(ctx, &sh, i2p, &payload, p2up, wd_port(3), &peer_out, recs[3], tracks[3],
+               e2e_peer);
     })));
     ctxs.push_back(&engine.Add("udp", cpu_for(4), finish([&](ServerContext& ctx) {
       UdpBody(ctx, wd_port(4));
@@ -622,43 +650,40 @@ LiveStackResult RunLiveFig2(const LiveStackConfig& config) {
       !timed_out && peer_out.saw_shutdown && result.delivered == config.transfer_bytes;
   result.threads = engine.Stats();
 
+  // Ring audit and observed wiring, over the header rings and the payload
+  // ring alike, sorted by name.
+  auto role_of = [&](uint64_t token) -> std::string {
+    for (size_t i = 0; i < roles.size(); ++i) {
+      if (token != 0 && role_tokens[i] == token) {
+        return roles[i];
+      }
+    }
+    return std::string();
+  };
+  std::vector<std::string> wiring;
   result.conservation_ok = true;
-  for (const auto& c : chans) {
+  auto audit = [&](const auto& c) {
     LiveRingStats rs;
-    rs.name = c->name();
-    rs.pushes = c->pushes();
-    rs.pops = c->pops();
-    rs.full_retries = c->full_retries();
-    rs.residue = c->Residue();
-    rs.imposters = c->imposters();
+    rs.name = c.name();
+    rs.pushes = c.pushes();
+    rs.pops = c.pops();
+    rs.full_retries = c.full_retries();
+    rs.residue = c.Residue();
+    rs.imposters = c.imposters();
     if (rs.pushes != rs.pops || rs.residue != 0) {
       result.conservation_ok = false;
     }
     result.rings.push_back(std::move(rs));
+    wiring.push_back("ring " + c.name() + " consumer=" + role_of(c.consumer_token()) +
+                     " producers=" + role_of(c.producer_token()) + "\n");
+  };
+  for (const auto& c : chans) {
+    audit(*c);
   }
-
-  {
-    auto role_of = [&](uint64_t token) -> std::string {
-      for (size_t i = 0; i < roles.size(); ++i) {
-        if (token != 0 && role_tokens[i] == token) {
-          return roles[i];
-        }
-      }
-      return std::string();
-    };
-    std::vector<const Chan*> by_name;
-    by_name.reserve(chans.size());
-    for (const auto& c : chans) {
-      by_name.push_back(c.get());
-    }
-    std::sort(by_name.begin(), by_name.end(),
-              [](const Chan* a, const Chan* b) { return a->name() < b->name(); });
-    std::ostringstream os;
-    for (const Chan* c : by_name) {
-      os << "ring " << c->name() << " consumer=" << role_of(c->consumer_token())
-         << " producers=" << role_of(c->producer_token()) << "\n";
-    }
-    result.wiring = os.str();
+  audit(payload);
+  std::sort(wiring.begin(), wiring.end());
+  for (const std::string& line : wiring) {
+    result.wiring += line;
   }
   return result;
 }

@@ -7,16 +7,25 @@
 //
 //   app ──data──▶ tcp ──data──▶ ip ──data──▶ peer        (full stack)
 //                  ◀───acks──── ip ◀───acks───┘
+//   app ═══════════════payload══════════════▶ peer
 //   wd ◀──ack── {app,tcp,ip,peer,udp} ◀──heartbeat── wd
 //
 //   app ──data──▶ tcp ──data──▶ peer                      (mini, 3 servers)
-//                  ◀────────acks─────────────┘
+//                  ◀───acks─────────┘
+//   app ═════════payload═══════▶ peer
 //
-// Messages are fixed-size PODs with inline payload (RtMsg), faithful to
-// NewtOS's fixed-slot shared-memory channels — and unlike the simulator,
-// the payload bytes are real: the app fills each segment with a
-// deterministic pattern and the peer verifies every byte, so "byte-identical
-// stream" is checked against actual memory, not just chunk sizes.
+// Every ring slot is a fixed-size POD, faithful to NewtOS's fixed-slot
+// shared-memory channels. The stack rings carry only a one-line header
+// (RtMsg: type, len, seq, offset, birth stamp); a data segment's bytes
+// travel once, from app to peer, on their own app/peer payload ring
+// (RtPayload) — the live counterpart of the DES Msg carrying a PacketPtr
+// rather than the bytes. The data path is FIFO end to end with no drops,
+// so the payload at the front of that ring always belongs to the next data
+// header the peer pops. Unlike the simulator's, the payload bytes are real:
+// the app writes each segment from a deterministic pattern and the peer
+// verifies every byte, and that the payload's offset is the header's, so
+// "byte-identical stream" is checked against actual memory, not just chunk
+// sizes.
 //
 // Flow control mirrors TCP's: the tcp thread forwards a segment only when
 // it fits the advertised window (in-flight bytes), advancing on cumulative
@@ -24,9 +33,12 @@
 // server loop is non-blocking (a forwarded message leaves its input ring
 // only once the output took it, an ack the full ack ring refused waits in a
 // one-slot pending buffer, and the loop keeps servicing its other inputs),
-// so the ring graph cannot deadlock. A hop copies a message once: the
+// so the ring graph cannot deadlock. A hop copies a header once: the
 // producer constructs the slot only after the space check, and forwarders
-// and the peer read the slot where it lies (Front, then PopFront).
+// and the peer read the slot where it lies (Front, then PopFront). The app
+// pushes a segment's payload before its header, and the payload ring holds
+// one more segment than the data rings on the app→peer path together, so
+// it never refuses the app.
 //
 // Shutdown is a quiesce protocol, not a cancellation: a kShutdown token
 // rides the data path behind the last segment, bounces back along the ack
@@ -56,9 +68,12 @@ namespace newtos {
 
 class ChannelChecker;
 
-// Fixed-size live message: one cache-friendly POD slot per ring entry, no
-// pointers, no pool — a message is wholly owned by whichever side of the
-// ring it is on, so crossing threads never shares memory.
+inline constexpr uint32_t kRtMaxPayload = 1460;  // one MSS of real bytes
+
+// Fixed-size live header: one POD slot per stack-ring entry, no pointers
+// and no payload — a message is wholly owned by whichever side of the ring
+// it is on, so crossing threads never shares memory, and a hop moves one
+// cache line. A data segment's bytes ride the app/peer payload ring.
 struct RtMsg {
   enum class Type : uint8_t {
     kData = 0,
@@ -67,12 +82,8 @@ struct RtMsg {
     kHeartbeat = 3,
     kHeartbeatAck = 4,
   };
-  static constexpr uint32_t kMaxPayload = 1460;  // one MSS of real bytes
 
   RtMsg() = default;
-  // Header-only message (acks, heartbeats, shutdowns): `payload` is left
-  // uninitialized, so emplacing one into a ring slot writes one cache line,
-  // not the whole slot.
   RtMsg(Type t, uint32_t s, uint64_t off = 0) : type(t), seq(s), stream_off(off) {}
 
   Type type = Type::kData;
@@ -80,9 +91,9 @@ struct RtMsg {
   uint32_t seq = 0;         // segment index / heartbeat round
   uint64_t stream_off = 0;  // kData: byte offset; kAck: cumulative acked bytes
   uint64_t born_ns = 0;     // RuntimeClock stamp at first push (latency)
-  unsigned char payload[kMaxPayload];
 };
 static_assert(std::is_trivially_copyable_v<RtMsg>, "RtMsg must stay a POD slot");
+static_assert(sizeof(RtMsg) <= kCacheLineBytes, "RtMsg must fit one cache line");
 
 // The deterministic payload byte at absolute stream offset `off` — both ends
 // compute it independently, so verification needs no reference copy. It
@@ -96,7 +107,7 @@ inline constexpr uint64_t kRtPatternPeriod = uint64_t{1} << 15;
 // any segment is the contiguous run starting at `off % kRtPatternPeriod`, so
 // filling is one memcpy and checking one memcmp, with no init in a transfer.
 struct RtPatternTable {
-  unsigned char bytes[kRtPatternPeriod + RtMsg::kMaxPayload];
+  unsigned char bytes[kRtPatternPeriod + kRtMaxPayload];
 };
 constexpr RtPatternTable MakeRtPatternTable() {
   RtPatternTable t{};
@@ -111,26 +122,48 @@ inline const unsigned char* RtPatternAt(uint64_t off) {
   return kRtPattern.bytes + (off % kRtPatternPeriod);
 }
 
-// Writes the pattern for stream bytes [off, off + len) into m.payload.
-inline void FillRtPayload(RtMsg& m, uint64_t off, uint32_t len) {
-  assert(len <= RtMsg::kMaxPayload);
-  std::memcpy(m.payload, RtPatternAt(off), len);
-}
+// One data segment's bytes, a slot of the app/peer payload ring: 23 whole
+// cache lines, written once by the app and read once by the peer. It
+// carries its own offset and length so the peer can check that it belongs
+// to the header it arrived with.
+struct alignas(kCacheLineBytes) RtPayload {
+  // The pattern for stream bytes [off, off + n): one memcpy, constructed in
+  // the ring slot by TryEmplace.
+  RtPayload(uint64_t off, uint32_t n) : stream_off(off), len(n) {
+    assert(n <= kRtMaxPayload);
+    std::memcpy(bytes, RtPatternAt(off), n);
+  }
 
-// Payload bytes of data message `m` that differ from the pattern at
-// m.stream_off. One memcmp when they all match; the per-byte count only runs
-// on a mismatch, so the error total stays exact.
-inline uint64_t RtPayloadErrors(const RtMsg& m) {
-  assert(m.len <= RtMsg::kMaxPayload);
-  const unsigned char* want = RtPatternAt(m.stream_off);
-  if (std::memcmp(m.payload, want, m.len) == 0) {
+  uint64_t stream_off;
+  uint32_t len;
+  unsigned char bytes[kRtMaxPayload];
+};
+static_assert(std::is_trivially_copyable_v<RtPayload>, "RtPayload must stay a POD slot");
+static_assert(sizeof(RtPayload) == 23 * kCacheLineBytes, "RtPayload must not pad a 24th line");
+
+// Bytes of `p` that differ from the pattern at p.stream_off. One memcmp when
+// they all match; the per-byte count only runs on a mismatch, so the error
+// total stays exact.
+inline uint64_t RtPayloadErrors(const RtPayload& p) {
+  assert(p.len <= kRtMaxPayload);
+  const unsigned char* want = RtPatternAt(p.stream_off);
+  if (std::memcmp(p.bytes, want, p.len) == 0) {
     return 0;
   }
   uint64_t errors = 0;
-  for (uint32_t i = 0; i < m.len; ++i) {
-    errors += m.payload[i] != want[i];
+  for (uint32_t i = 0; i < p.len; ++i) {
+    errors += p.bytes[i] != want[i];
   }
   return errors;
+}
+
+// The peer's check of data header `h` and the payload it pops with it: the
+// payload's byte errors, plus one if the payload is not the header's (its
+// offset or length differs), which would mean the two rings fell out of
+// step.
+inline uint64_t RtSegmentErrors(const RtMsg& h, const RtPayload& p) {
+  const bool same_segment = p.stream_off == h.stream_off && p.len == h.len;
+  return RtPayloadErrors(p) + (same_segment ? 0 : 1);
 }
 
 struct LiveStackConfig {
@@ -160,7 +193,7 @@ struct LiveStackResult {
   uint64_t chunks = 0;
   uint64_t digest = 0;
 
-  uint64_t payload_errors = 0;    // bytes that mismatched the pattern
+  uint64_t payload_errors = 0;    // RtSegmentErrors summed over the segments
   uint64_t heartbeat_rounds = 0;  // completed watchdog ping-pong rounds
   bool completed = false;         // transfer finished before the deadline
   bool conservation_ok = false;   // every ring: pushes == pops, residue 0

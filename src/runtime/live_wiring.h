@@ -34,6 +34,9 @@ inline constexpr LiveRingSpec kLiveRingSpecs[] = {
     {"ip/peer", "ip", "peer", false, true},
     {"peer/ip", "peer", "ip", false, true},
     {"ip/tcp", "ip", "tcp", false, true},
+    // Segment bytes (RtPayload), app to peer, beside the header-only data
+    // path; the peer pops one payload per data header.
+    {"app/peer", "app", "peer", true, true},
 };
 
 // Roles the watchdog heartbeats (full stack only); the watchdog thread

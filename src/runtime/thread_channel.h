@@ -57,8 +57,8 @@ class ThreadChannel {
   bool TryPush(const T& value) { return CountPush(ring_.TryPush(value)); }
   bool TryPush(T&& value) { return CountPush(ring_.TryPush(std::move(value))); }
 
-  // Constructs T(args...) in the slot: a header-only RtMsg writes one cache
-  // line, not the whole payload.
+  // Constructs T(args...) in the slot: the app builds each RtPayload there
+  // straight from the pattern table, with no staging copy.
   template <typename... Args>
   bool TryEmplace(Args&&... args) {
     return CountPush(ring_.TryEmplace(std::forward<Args>(args)...));

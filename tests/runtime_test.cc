@@ -14,6 +14,7 @@
 
 #include <atomic>
 #include <sstream>
+#include <string>
 #include <thread>
 
 #include "src/check/channel_checker.h"
@@ -175,46 +176,60 @@ TEST(ThreadChannel, PopFrontCountsPopAndRingsProducerGate) {
 // --- The payload pattern ---
 
 TEST(LivePayload, TableMatchesPatternByte) {
-  static_assert(sizeof(kRtPattern.bytes) == kRtPatternPeriod + RtMsg::kMaxPayload);
+  static_assert(sizeof(kRtPattern.bytes) == kRtPatternPeriod + kRtMaxPayload);
   for (uint64_t i = 0; i < sizeof(kRtPattern.bytes); ++i) {
     ASSERT_EQ(kRtPattern.bytes[i], RtPatternByte(i)) << "table byte " << i;
   }
 }
 
-// A data segment at stream offset `off`, filled by the app's helper.
-RtMsg PatternSegment(uint64_t off, uint32_t len) {
-  RtMsg m;
-  m.len = static_cast<uint16_t>(len);
-  m.stream_off = off;
-  FillRtPayload(m, off, len);
-  return m;
-}
-
 TEST(LivePayload, EachFlippedByteCountsOnce) {
-  const uint64_t off = 7 * RtMsg::kMaxPayload;
-  for (uint32_t at : {0u, 729u, RtMsg::kMaxPayload - 1}) {
-    RtMsg m = PatternSegment(off, RtMsg::kMaxPayload);
-    ASSERT_EQ(RtPayloadErrors(m), 0u);
-    m.payload[at] ^= 0x01;
-    EXPECT_EQ(RtPayloadErrors(m), 1u) << "flipped byte " << at;
+  const uint64_t off = 7 * kRtMaxPayload;
+  for (uint32_t at : {0u, 729u, kRtMaxPayload - 1}) {
+    RtPayload p(off, kRtMaxPayload);
+    ASSERT_EQ(RtPayloadErrors(p), 0u);
+    p.bytes[at] ^= 0x01;
+    EXPECT_EQ(RtPayloadErrors(p), 1u) << "flipped byte " << at;
   }
-  RtMsg m = PatternSegment(off, RtMsg::kMaxPayload);
-  m.payload[0] ^= 0x80;
-  m.payload[729] ^= 0xff;
-  m.payload[RtMsg::kMaxPayload - 1] ^= 0x10;
-  EXPECT_EQ(RtPayloadErrors(m), 3u);
+  RtPayload p(off, kRtMaxPayload);
+  p.bytes[0] ^= 0x80;
+  p.bytes[729] ^= 0xff;
+  p.bytes[kRtMaxPayload - 1] ^= 0x10;
+  EXPECT_EQ(RtPayloadErrors(p), 3u);
 }
 
 TEST(LivePayload, SegmentStraddlingThePatternPeriod) {
   // Starts 700 bytes before a period boundary (and in a later period), so
   // the fill wraps the pattern mid-segment.
   for (uint64_t off : {kRtPatternPeriod - 700, 5 * kRtPatternPeriod - 1}) {
-    const RtMsg m = PatternSegment(off, RtMsg::kMaxPayload);
-    EXPECT_EQ(RtPayloadErrors(m), 0u) << "offset " << off;
-    for (uint32_t i = 0; i < RtMsg::kMaxPayload; ++i) {
-      ASSERT_EQ(m.payload[i], RtPatternByte(off + i)) << "offset " << off << " byte " << i;
+    const RtPayload p(off, kRtMaxPayload);
+    EXPECT_EQ(RtPayloadErrors(p), 0u) << "offset " << off;
+    for (uint32_t i = 0; i < kRtMaxPayload; ++i) {
+      ASSERT_EQ(p.bytes[i], RtPatternByte(off + i)) << "offset " << off << " byte " << i;
     }
   }
+}
+
+// A data header for the segment at `off`, as the app pushes it.
+RtMsg DataHeader(uint64_t off, uint32_t len) {
+  RtMsg h(RtMsg::Type::kData, static_cast<uint32_t>(off / kRtMaxPayload), off);
+  h.len = static_cast<uint16_t>(len);
+  return h;
+}
+
+TEST(LivePayload, HeaderAndPayloadOutOfStepCountOnce) {
+  const uint64_t off = 3 * kRtMaxPayload;
+  const RtPayload p(off, kRtMaxPayload);
+  EXPECT_EQ(RtSegmentErrors(DataHeader(off, kRtMaxPayload), p), 0u);
+  // The payload is a clean one, but of the next (or the previous) segment:
+  // its bytes match its own offset, not the header's.
+  EXPECT_EQ(RtSegmentErrors(DataHeader(off + kRtMaxPayload, kRtMaxPayload), p), 1u);
+  EXPECT_EQ(RtSegmentErrors(DataHeader(off - kRtMaxPayload, kRtMaxPayload), p), 1u);
+  // Same offset, different length.
+  EXPECT_EQ(RtSegmentErrors(DataHeader(off, kRtMaxPayload - 1), p), 1u);
+  // A mismatch and a flipped byte add up.
+  RtPayload flipped(off, kRtMaxPayload);
+  flipped.bytes[10] ^= 0x04;
+  EXPECT_EQ(RtSegmentErrors(DataHeader(off + kRtMaxPayload, kRtMaxPayload), flipped), 2u);
 }
 
 // --- The live stack ---
@@ -264,6 +279,45 @@ TEST(LiveStack, DigestMatchesDesReference) {
   }
 }
 
+// The payload ring is sized so that the app never finds it full: with the
+// 2-slot rings and one-MSS window of perfbench's live_rtt and with the
+// default rings and window, on both flavours, every payload push succeeds
+// at the first attempt and the stream still matches the DES.
+TEST(LiveStack, PayloadRingNeverRefusesTheApp) {
+  constexpr uint64_t kBytes = 256 * 1024;
+  const Fig2DesResult des = RunFig2Des(kBytes);
+  ASSERT_TRUE(des.completed);
+  for (const bool rtt : {true, false}) {
+    for (const bool mini : {true, false}) {
+      SCOPED_TRACE(std::string(rtt ? "live_rtt config" : "default config") +
+                   (mini ? ", mini" : ", full"));
+      LiveStackConfig cfg;
+      cfg.transfer_bytes = kBytes;
+      cfg.mini = mini;
+      if (rtt) {
+        cfg.ring_capacity = 2;
+        cfg.window_bytes = cfg.mss;
+        cfg.poll.mode = PollMode::kPollAlways;
+      }
+      const LiveStackResult r = RunLiveFig2(cfg);
+      ASSERT_TRUE(r.completed);
+      EXPECT_TRUE(r.conservation_ok);
+      EXPECT_EQ(r.digest, des.digest);
+      EXPECT_EQ(r.chunks, des.chunks);
+      EXPECT_EQ(r.payload_errors, 0u);
+      bool found = false;
+      for (const LiveRingStats& ring : r.rings) {
+        if (ring.name == "app/peer") {
+          found = true;
+          EXPECT_EQ(ring.pushes, r.chunks);
+          EXPECT_EQ(ring.full_retries, 0u);
+        }
+      }
+      EXPECT_TRUE(found) << "no app/peer ring in the result";
+    }
+  }
+}
+
 TEST(LiveStack, MiniStackMatchesFullStackDigest) {
   LiveStackConfig cfg;
   cfg.transfer_bytes = kTransfer;
@@ -307,8 +361,9 @@ TEST(LiveStack, ChannelCheckerReportsZeroImpostersInLiveMode) {
     return os.str();
   }();
   EXPECT_EQ(r.TotalImposters(), 0u);
-  // Full stack: 5 data/ack rings + 2 watchdog rings per watched server.
-  EXPECT_EQ(checker.live_rings().size(), 15u);
+  // Full stack: 5 data/ack rings, the payload ring, and 2 watchdog rings
+  // per watched server.
+  EXPECT_EQ(checker.live_rings().size(), 16u);
 }
 
 TEST(LiveStack, TraceRecordersCaptureEndToEndHops) {

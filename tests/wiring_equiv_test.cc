@@ -122,6 +122,7 @@ TEST(WiringTable, CleanTableRendersCanonically) {
   const std::vector<WiredRing> mini = LiveRings(/*mini=*/true);
   EXPECT_TRUE(CheckSpsc(mini).empty());
   EXPECT_EQ(RenderWiring(mini),
+            "ring app/peer consumer=peer producers=app\n"
             "ring app/tcp consumer=tcp producers=app\n"
             "ring peer/tcp consumer=tcp producers=peer\n"
             "ring tcp/peer consumer=peer producers=tcp\n");
