@@ -9,7 +9,7 @@
 #include <benchmark/benchmark.h>
 
 #include "src/chan/spsc_ring.h"
-#include "src/host/pipeline.h"
+#include "src/runtime/pipeline.h"
 
 namespace newtos {
 namespace {

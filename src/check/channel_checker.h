@@ -57,10 +57,9 @@ namespace newtos {
 // run observed (ChannelChecker::Wiring).
 struct WiredRing {
   std::string name;
-  std::vector<std::string> consumers;     // sorted, unique
-  std::vector<std::string> producers;     // sorted, unique; empty = fed from outside
-  const char* shared_reason = nullptr;    // several producers by design
-  const char* blocking_reason = nullptr;  // its producers spin while it is full
+  std::vector<std::string> consumers;   // sorted, unique
+  std::vector<std::string> producers;   // sorted, unique; empty = fed from outside
+  const char* shared_reason = nullptr;  // several producers by design
 };
 
 // Adds one producer -> ring edge, keeping `rings` sorted by name and merging

@@ -1,7 +1,6 @@
 #include "src/check/stack_check.h"
 
 #include <algorithm>
-#include <set>
 #include <string>
 #include <string_view>
 
@@ -39,90 +38,6 @@ std::string Join(const std::vector<std::string>& v) {
   }
   return out;
 }
-
-// "*/suffix" matches every ring ending with "/suffix"; anything else is exact.
-bool RingMatches(std::string_view pattern, std::string_view ring) {
-  if (pattern.size() > 1 && pattern[0] == '*') {
-    const std::string_view suffix = pattern.substr(1);
-    return ring.size() >= suffix.size() && ring.substr(ring.size() - suffix.size()) == suffix;
-  }
-  return pattern == ring;
-}
-
-// One edge of the wait graph: `from` can spin until `to` drains `ring`.
-struct WaitEdge {
-  std::string from;
-  std::string ring;
-  std::string to;
-};
-
-// Depth-first cycle search; each cycle is reported once, canonicalized.
-class CycleFinder {
- public:
-  CycleFinder(const std::vector<WaitEdge>& edges, const std::string& graph,
-              std::vector<std::string>* out)
-      : edges_(edges), graph_(graph), out_(out) {}
-
-  void Run() {
-    for (const WaitEdge& e : edges_) {
-      if (done_.count(e.from) == 0) {
-        Visit(e.from);
-      }
-    }
-  }
-
- private:
-  void Visit(const std::string& node) {
-    on_path_.insert(node);
-    for (const WaitEdge& e : edges_) {
-      if (e.from != node) {
-        continue;
-      }
-      if (on_path_.count(e.to) > 0) {
-        Report(&e);
-      } else if (done_.count(e.to) == 0) {
-        path_.push_back(&e);
-        Visit(e.to);
-        path_.pop_back();
-      }
-    }
-    on_path_.erase(node);
-    done_.insert(node);
-  }
-
-  // `closing` leads back to a role on the current path: the cycle is the
-  // path's tail from that role plus `closing`, rotated to start at its
-  // smallest role.
-  void Report(const WaitEdge* closing) {
-    const auto first = std::find_if(path_.begin(), path_.end(), [closing](const WaitEdge* e) {
-      return e->from == closing->to;
-    });
-    std::vector<const WaitEdge*> cycle(first, path_.end());
-    cycle.push_back(closing);
-    size_t lead = 0;
-    for (size_t i = 1; i < cycle.size(); ++i) {
-      if (cycle[i]->from < cycle[lead]->from) {
-        lead = i;
-      }
-    }
-    std::string chain = cycle[lead]->from;
-    for (size_t i = 0; i < cycle.size(); ++i) {
-      const WaitEdge* step = cycle[(lead + i) % cycle.size()];
-      chain += " -> " + step->ring + " -> " + step->to;
-    }
-    if (reported_.insert(chain).second) {
-      out_->push_back("blocking-wait cycle in the " + graph_ + " graph: " + chain);
-    }
-  }
-
-  const std::vector<WaitEdge>& edges_;
-  const std::string& graph_;
-  std::vector<std::string>* out_;
-  std::vector<const WaitEdge*> path_;
-  std::set<std::string> on_path_;
-  std::set<std::string> done_;
-  std::set<std::string> reported_;
-};
 
 }  // namespace
 
@@ -162,13 +77,6 @@ std::vector<WiredRing> LiveRings(bool mini) {
       AddWiredEdge(&rings, std::string(role) + "/wd", role, kLiveWatchdogRole);
     }
   }
-  for (WiredRing& r : rings) {
-    for (const LiveBlockingSpec& b : kLiveBlockingRings) {
-      if (RingMatches(b.ring, r.name)) {
-        r.blocking_reason = b.reason;
-      }
-    }
-  }
   return rings;
 }
 
@@ -185,24 +93,6 @@ std::vector<std::string> CheckSpsc(const std::vector<WiredRing>& rings) {
                     Join(r.consumers) + ") and no shared-by-design reason");
     }
   }
-  return out;
-}
-
-std::vector<std::string> CheckWaitCycles(const std::vector<WiredRing>& rings,
-                                         const std::string& graph) {
-  std::vector<WaitEdge> edges;
-  for (const WiredRing& r : rings) {
-    if (r.blocking_reason == nullptr) {
-      continue;
-    }
-    for (const std::string& p : r.producers) {
-      for (const std::string& c : r.consumers) {
-        edges.push_back(WaitEdge{p, r.name, c});
-      }
-    }
-  }
-  std::vector<std::string> out;
-  CycleFinder(edges, graph, &out).Run();
   return out;
 }
 

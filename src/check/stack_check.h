@@ -5,12 +5,13 @@
 // one per name, and checked directly:
 //   1. SPSC discipline: one consumer and one producing role per ring, unless
 //      the ring carries a shared-by-design reason;
-//   2. wait-graph acyclicity: a producer that spins on a blocking ring waits
-//      on its consumer, and those waits must never close a loop;
-//   3. rendering: RenderWiring (channel_checker.h) prints
+//   2. rendering: RenderWiring (channel_checker.h) prints
 //      `ring <name> consumer=<c> producers=<p,...>` per ring, as it does for
 //      the wiring a run observed, so the equivalence gate is a string
 //      comparison.
+// No producer in src/ waits on a full ring (the blocking-push lint rule
+// holds that over all of src/), so the ring graph has no wait edges to
+// check for cycles.
 //
 // StackChecker wires a ChannelChecker onto a full multiserver stack: each
 // server gets an actor identity, each owned input ring registers with the
@@ -41,12 +42,6 @@ std::vector<WiredRing> LiveRings(bool mini);
 // One message per ring with several consumers, or several producing roles
 // and no shared reason.
 std::vector<std::string> CheckSpsc(const std::vector<WiredRing>& rings);
-
-// One message per cycle of the wait graph (producer -> consumer over every
-// blocking ring), as the chain "a -> ring -> b -> ... -> a" rotated to start
-// at its smallest role. `graph` names the table in the message.
-std::vector<std::string> CheckWaitCycles(const std::vector<WiredRing>& rings,
-                                         const std::string& graph);
 
 class StackChecker {
  public:

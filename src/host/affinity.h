@@ -1,10 +1,12 @@
-// CPU affinity helpers for the userspace proxy (src/host/pipeline.h).
+// CPU affinity helpers.
 //
-// The repro note for this paper says it best: without the NewtOS kernel, a
-// userspace pinned-thread pipeline is the closest executable approximation
-// of "servers on dedicated cores". These helpers pin threads; on machines
-// with too few cores (like 1-core CI containers) pinning degrades to a
-// no-op and the pipeline still runs correctly, just time-sliced.
+// RuntimeEngine (src/runtime/engine.h) pins each role it spawns through
+// them, for the live stack and the Tab. 3 pipeline alike, and the fabric
+// lanes read AvailableCpuCount to choose between spinning and parking.
+// Without the NewtOS kernel, a pinned thread is the closest executable
+// approximation of "a server on a dedicated core". On hosts with too few
+// cores pinning falls back to the scheduler, and everything still runs
+// correctly, just time-sliced.
 
 #ifndef SRC_HOST_AFFINITY_H_
 #define SRC_HOST_AFFINITY_H_

@@ -17,7 +17,10 @@
 //   metrics  — stats, histograms, table/CSV writers
 //   trace    — allocation-free causal tracing (recorder, samplers,
 //              Chrome-trace + folded-stack exporters, StackTracer wiring)
-//   host     — real-thread affinity pipeline over SpscRing
+//   host     — CPU-affinity helpers (AvailableCpuCount, PinThisThreadToCpu)
+//   runtime  — the real-thread backend: RuntimeEngine roles over
+//              ThreadChannel rings, the live stack (live_stack.h) and the
+//              Tab. 3 pipeline (pipeline.h)
 //   scenario — .nsc script parser and ScenarioRunner; the scenarios/tab7
 //              scripts run through it are the resilience matrix (Tab. 7)
 
@@ -37,7 +40,6 @@
 #include "src/fault/invariants.h"
 #include "src/fault/watchdog.h"
 #include "src/host/affinity.h"
-#include "src/host/pipeline.h"
 #include "src/hw/cpu.h"
 #include "src/hw/machine.h"
 #include "src/hw/nic.h"
@@ -63,6 +65,7 @@
 #include "src/os/peer_host.h"
 #include "src/os/socket_api.h"
 #include "src/os/stack.h"
+#include "src/runtime/pipeline.h"
 #include "src/scenario/parser.h"
 #include "src/scenario/runner.h"
 #include "src/sim/logger.h"

@@ -13,40 +13,30 @@
 #include "src/runtime/live_wiring.h"
 
 namespace newtos {
-namespace {
 
-// Watchdog attachment for one server: heartbeats arrive on `in`, acks leave
-// on `out`. Inactive (nullptr) for the mini stack and for the watchdog
-// itself.
-struct WdPort {
-  ThreadChannel<RtMsg>* in = nullptr;
-  ThreadChannel<RtMsg>* out = nullptr;
-  bool active() const { return in != nullptr; }
-};
-
-// Drains the heartbeat ring: acks every kHeartbeat, latches kShutdown.
-// The ack push loops on the full ring — safe because the watchdog always
-// drains its ack rings and never blocks on this server (the stop check only
-// matters on the deadline-abort path, where the watchdog may be gone).
-bool ServiceWd(ServerContext& ctx, WdPort& wd, bool* wd_done) {
+// While an ack is pending the heartbeats stay where they lie in `in`, so
+// one slot is all the backlog a server ever keeps for the watchdog.
+bool ServiceWd(WdPort& wd, bool* wd_done) {
   if (!wd.active()) {
     return false;
   }
   bool work = false;
-  while (const RtMsg* m = wd.in->Front()) {
+  if (wd.pending_ack && wd.out->TryEmplace(RtMsg::Type::kHeartbeatAck, *wd.pending_ack)) {
+    wd.pending_ack.reset();
+    work = true;
+  }
+  while (!wd.pending_ack) {
+    const RtMsg* m = wd.in->Front();
+    if (m == nullptr) {
+      break;
+    }
     work = true;
     const RtMsg::Type type = m->type;
     const uint32_t round = m->seq;
     wd.in->PopFront();
     if (type == RtMsg::Type::kHeartbeat) {
-      // The one sanctioned spin: the watchdog always drains its ack rings and
-      // never blocks back on this server, so the wait is bounded (the "*/wd"
-      // row of kLiveBlockingRings in live_wiring.h).
-      // lint:allow(blocking-push): watchdog always drains acks; bounded wait
-      while (!wd.out->TryEmplace(RtMsg::Type::kHeartbeatAck, round)) {
-        if (ctx.StopRequested()) {
-          return work;
-        }
+      if (!wd.out->TryEmplace(RtMsg::Type::kHeartbeatAck, round)) {
+        wd.pending_ack = round;
       }
     } else if (type == RtMsg::Type::kShutdown) {
       *wd_done = true;
@@ -55,7 +45,14 @@ bool ServiceWd(ServerContext& ctx, WdPort& wd, bool* wd_done) {
   return work;
 }
 
-bool WdHasInput(WdPort& wd) { return wd.active() && !wd.in->EmptyConsumer(); }
+bool WdCanProgress(const WdPort& wd) {
+  if (!wd.active()) {
+    return false;
+  }
+  return wd.pending_ack ? wd.out->HasSpaceProducer() : !wd.in->EmptyConsumer();
+}
+
+namespace {
 
 // State shared across server threads. Everything here is either atomic or
 // owned by exactly one thread until after Join().
@@ -143,9 +140,9 @@ void AppBody(ServerContext& ctx, SharedState* sh, ThreadChannel<RtMsg>* out,
         work = true;
       }
     }
-    work |= ServiceWd(ctx, wd, &wd_done);
+    work |= ServiceWd(wd, &wd_done);
     ctx.Idle(work, [&] {
-      return (!shutdown_sent && out->HasSpaceProducer()) || WdHasInput(wd);
+      return (!shutdown_sent && out->HasSpaceProducer()) || WdCanProgress(wd);
     });
   }
 }
@@ -191,9 +188,9 @@ void TcpBody(ServerContext& ctx, SharedState* sh, ThreadChannel<RtMsg>* data_in,
       data_in->PopFront();
       work = true;
     }
-    work |= ServiceWd(ctx, wd, &wd_done);
+    work |= ServiceWd(wd, &wd_done);
     ctx.Idle(work, [&] {
-      if (!ack_in->EmptyConsumer() || WdHasInput(wd)) {
+      if (!ack_in->EmptyConsumer() || WdCanProgress(wd)) {
         return true;
       }
       if (!fwd_shutdown) {
@@ -239,9 +236,9 @@ void IpBody(ServerContext& ctx, ForwardDir down, ForwardDir up, WdPort wd) {
     }
     bool work = ForwardStep(down);
     work |= ForwardStep(up);
-    work |= ServiceWd(ctx, wd, &wd_done);
+    work |= ServiceWd(wd, &wd_done);
     ctx.Idle(work, [&] {
-      return ForwardCanProgress(down) || ForwardCanProgress(up) || WdHasInput(wd);
+      return ForwardCanProgress(down) || ForwardCanProgress(up) || WdCanProgress(wd);
     });
   }
 }
@@ -312,9 +309,9 @@ void PeerBody(ServerContext& ctx, SharedState* sh, ThreadChannel<RtMsg>* data_in
         data_in->PopFront();
       }
     }
-    work |= ServiceWd(ctx, wd, &wd_done);
+    work |= ServiceWd(wd, &wd_done);
     ctx.Idle(work, [&] {
-      if (!data_in->EmptyConsumer() || WdHasInput(wd)) {
+      if (!data_in->EmptyConsumer() || WdCanProgress(wd)) {
         return true;
       }
       return pending_ack.has_value() && ack_out->HasSpaceProducer();
@@ -331,8 +328,8 @@ void UdpBody(ServerContext& ctx, WdPort wd) {
     if (ctx.StopRequested()) {
       return;
     }
-    const bool work = ServiceWd(ctx, wd, &wd_done);
-    ctx.Idle(work, [&] { return WdHasInput(wd); });
+    const bool work = ServiceWd(wd, &wd_done);
+    ctx.Idle(work, [&] { return WdCanProgress(wd); });
   }
 }
 
@@ -493,7 +490,9 @@ LiveStackResult RunLiveFig2(const LiveStackConfig& config) {
 
   // Watchdog rings (full stack only): one heartbeat + one ack ring per
   // watched server, SPSC preserved — the watchdog is sole producer on every
-  // /wd ring and sole consumer on every /ack ring.
+  // wd/<role> ring and sole consumer on every <role>/wd ring. They take the
+  // data rings' capacity; the self-clocked rounds never put more than one
+  // message in either.
   const std::vector<std::string> watched =
       config.mini
           ? std::vector<std::string>{}
@@ -501,8 +500,8 @@ LiveStackResult RunLiveFig2(const LiveStackConfig& config) {
   std::vector<Chan*> wd_tx;  // watchdog -> server
   std::vector<Chan*> wd_rx;  // server -> watchdog
   for (const std::string& w : watched) {
-    wd_tx.push_back(add_chan("wd/" + w, 16));
-    wd_rx.push_back(add_chan(w + "/wd", 16));
+    wd_tx.push_back(add_chan("wd/" + w, config.ring_capacity));
+    wd_rx.push_back(add_chan(w + "/wd", config.ring_capacity));
   }
   auto wd_port = [&](size_t watched_idx) {
     WdPort p;

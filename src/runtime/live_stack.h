@@ -31,9 +31,10 @@
 // it fits the advertised window (in-flight bytes), advancing on cumulative
 // acks from the peer; the app↔tcp ring provides backpressure upstream. Every
 // server loop is non-blocking (a forwarded message leaves its input ring
-// only once the output took it, an ack the full ack ring refused waits in a
-// one-slot pending buffer, and the loop keeps servicing its other inputs),
-// so the ring graph cannot deadlock. A hop copies a header once: the
+// only once the output took it, an ack or heartbeat ack the full ack ring
+// refused waits in a one-slot pending buffer, and the loop keeps servicing
+// its other inputs), so no thread ever waits on a ring and the ring graph
+// cannot deadlock. A hop copies a header once: the
 // producer constructs the slot only after the space check, and forwarders
 // and the peer read the slot where it lies (Front, then PopFront). The app
 // pushes a segment's payload before its header, and the payload ring holds
@@ -55,6 +56,7 @@
 #include <cstdint>
 #include <cstring>
 #include <memory>
+#include <optional>
 #include <string>
 #include <type_traits>
 #include <vector>
@@ -231,6 +233,28 @@ LiveStackResult RunLiveFig2(const LiveStackConfig& config);
 // both backends answer "did anything violate the channel protocol?" through
 // the same reporting surface. No-op when checkers are compiled out.
 void FoldIntoChecker(const LiveStackResult& result, ChannelChecker* checker);
+
+// The watchdog attachment of one live server: heartbeats arrive on `in`,
+// acks leave on `out`. Both are null for the mini stack and for the
+// watchdog itself. Declared here so a test can drive the pending-ack path
+// on a hand-filled ring; the watchdog's self-clocked rounds never fill an
+// ack ring in a whole run.
+struct WdPort {
+  ThreadChannel<RtMsg>* in = nullptr;
+  ThreadChannel<RtMsg>* out = nullptr;
+  std::optional<uint32_t> pending_ack;  // round of an ack `out` refused
+  bool active() const { return in != nullptr; }
+};
+
+// One non-blocking watchdog step of a server loop: retries a pending ack,
+// then drains the heartbeat ring while no ack is pending, acking each
+// kHeartbeat and setting *wd_done on kShutdown. Returns true if it moved a
+// message.
+bool ServiceWd(WdPort& wd, bool* wd_done);
+
+// The ServiceWd part of an Idle recheck: true if its next call could move a
+// message (a pending ack and room for it, or else a waiting heartbeat).
+bool WdCanProgress(const WdPort& wd);
 
 }  // namespace newtos
 

@@ -3,10 +3,10 @@
 //
 // This table is the single source of truth for the live wiring. RunLiveFig2
 // instantiates its ThreadChannels from these rows, and src/check/stack_check.h
-// renders and checks it (SPSC discipline, wait-graph acyclicity) — the
-// wiring-equivalence gate compares that rendering with the wiring a live run
-// observes, so a ring added in code without a row here fails instead of
-// silently widening the topology. Watchdog rings are not listed row-by-row:
+// renders it and checks its SPSC discipline — the wiring-equivalence gate
+// compares that rendering with the wiring a live run observes, so a ring
+// added in code without a row here fails instead of silently widening the
+// topology. Watchdog rings are not listed row-by-row:
 // every role in kLiveWatchedRoles gets a "wd/<role>" heartbeat ring
 // (watchdog -> role) and a "<role>/wd" ack ring (role -> watchdog), full
 // stack only.
@@ -45,22 +45,6 @@ inline constexpr const char* kLiveWatchedRoles[] = {"app", "tcp", "ip", "peer", 
 inline constexpr size_t kLiveWatchedRoleCount =
     sizeof(kLiveWatchedRoles) / sizeof(kLiveWatchedRoles[0]);
 inline constexpr const char* kLiveWatchdogRole = "watchdog";
-
-// Rings whose producer spins on a full ring until the consumer drains it.
-// Each adds wait edges (producer -> consumer) that the acyclicity check walks.
-// `ring` is a ring name or a "*/suffix" pattern; `site` is the file holding
-// the spin, which carries a lint:allow(blocking-push) waiver — the lint tree
-// test (tests/lint_test.cc) keeps waived spins and these rows one-to-one.
-struct LiveBlockingSpec {
-  const char* ring;
-  const char* site;
-  const char* reason;
-};
-
-inline constexpr LiveBlockingSpec kLiveBlockingRings[] = {
-    {"*/wd", "src/runtime/live_stack.cc",
-     "watchdog-ack spin: the watchdog always drains its ack rings and never blocks back"},
-};
 
 }  // namespace newtos
 

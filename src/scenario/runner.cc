@@ -188,24 +188,6 @@ ScenarioOutcome ScenarioRunner::RunOne(const Script& script, FreqKhz freq) {
   return script.topology == Topology::kIncast ? RunIncast(script, freq) : RunP2p(script, freq);
 }
 
-std::vector<ScenarioOutcome> ScenarioRunner::RunScript(const Script& script) {
-  std::vector<ScenarioOutcome> out;
-  for (FreqKhz f : script.freqs) {
-    out.push_back(RunOne(script, f));
-  }
-  return out;
-}
-
-std::vector<ScenarioOutcome> ScenarioRunner::RunAll(const std::vector<Script>& scripts) {
-  std::vector<ScenarioOutcome> out;
-  for (const Script& s : scripts) {
-    for (FreqKhz f : s.freqs) {
-      out.push_back(RunOne(s, f));
-    }
-  }
-  return out;
-}
-
 bool ScenarioRunner::RunCampaignOrder(const std::vector<Script>& scripts,
                                       std::vector<CampaignCell>* cells, std::string* error) {
   cells->clear();

@@ -112,12 +112,6 @@ class ScenarioRunner {
   // Runs `script` at one frequency point.
   ScenarioOutcome RunOne(const Script& script, FreqKhz freq);
 
-  // Runs `script` at every frequency in Script::freqs.
-  std::vector<ScenarioOutcome> RunScript(const Script& script);
-
-  // Runs every script at each of its frequencies — the pass/fail matrix.
-  std::vector<ScenarioOutcome> RunAll(const std::vector<Script>& scripts);
-
   // The resilience matrix: frequency OUTER, script INNER. Every script must
   // declare the same `freq` sweep; otherwise nothing runs, `*error` names
   // the first script whose sweep differs from the first script's, and the

@@ -1,10 +1,10 @@
-// Real-thread pipeline tests (the userspace affinity proxy).
+// The affinity helpers and the Tab. 3 real-thread pipeline built on them.
 //
-// Kept small: this container may have a single CPU, so the threads time-slice
-// rather than run in parallel. Correctness (no loss, no reorder) must hold
-// either way — that is precisely what the lock-free rings guarantee.
+// Kept small: the host may have a single CPU, so the roles time-slice rather
+// than run in parallel. Correctness (no loss, no reorder) must hold either
+// way, and on one CPU the roles must park rather than spin.
 
-#include "src/host/pipeline.h"
+#include "src/runtime/pipeline.h"
 
 #include <gtest/gtest.h>
 #include <sched.h>
@@ -53,7 +53,7 @@ TEST(Pipeline, AllMessagesSurviveThreeStages) {
 
 TEST(Pipeline, ChecksumIndependentOfRingCapacity) {
   // The token fold must not depend on scheduling or capacity: same inputs,
-  // same checksum (stage work of 0 keeps tokens unmodified).
+  // same checksum.
   PipelineParams small;
   small.stages = 2;
   small.messages = 5'000;
@@ -82,18 +82,21 @@ TEST(Pipeline, PinningDoesNotChangeResults) {
   EXPECT_EQ(r.messages, 5'000u);
 }
 
-TEST(Pipeline, PerStageWorkSlowsThroughput) {
-  PipelineParams fast;
-  fast.stages = 1;
-  fast.messages = 5'000;
-  PipelineParams slow = fast;
-  slow.work_per_stage = 2'000;
-  const double f = RunPipeline(fast).msgs_per_sec;
-  const double s = RunPipeline(slow).msgs_per_sec;
-  EXPECT_GT(f, 0.0);
-  EXPECT_GT(s, 0.0);
-  // Heavily loaded stages cannot be faster (allow wide scheduling noise).
-  EXPECT_LT(s, f * 1.5);
+TEST(Pipeline, CallerAffinityIsUntouched) {
+  // Every role runs on an engine thread, so pinning them must leave the
+  // calling thread's affinity mask as it was.
+  cpu_set_t before;
+  CPU_ZERO(&before);
+  ASSERT_EQ(sched_getaffinity(0, sizeof(before), &before), 0);
+  PipelineParams p;
+  p.stages = 3;
+  p.messages = 5'000;
+  p.pin_threads = true;
+  EXPECT_EQ(RunPipeline(p).messages, 5'000u);
+  cpu_set_t after;
+  CPU_ZERO(&after);
+  ASSERT_EQ(sched_getaffinity(0, sizeof(after), &after), 0);
+  EXPECT_TRUE(CPU_EQUAL(&before, &after));
 }
 
 }  // namespace

@@ -318,6 +318,74 @@ TEST(LiveStack, PayloadRingNeverRefusesTheApp) {
   }
 }
 
+// A server's watchdog step never waits on its ack ring: an ack the full
+// ring refused waits in the port, the heartbeats behind it stay in their
+// ring, and the ack goes out on the first pass after the watchdog popped.
+// The watchdog's self-clocked rounds never fill an ack ring in a whole run,
+// so the ring is filled by hand here.
+TEST(LiveStack, WatchdogAckWaitsWhileTheAckRingIsFull) {
+  ThreadChannel<RtMsg> heartbeats("wd/tcp", 4);
+  ThreadChannel<RtMsg> acks("tcp/wd", 1);
+  WdPort wd;
+  wd.in = &heartbeats;
+  wd.out = &acks;
+  bool wd_done = false;
+  ASSERT_TRUE(heartbeats.TryEmplace(RtMsg::Type::kHeartbeat, 0));
+  ASSERT_TRUE(heartbeats.TryEmplace(RtMsg::Type::kHeartbeat, 1));
+
+  // Ack 0 fills the ring; ack 1 is refused and waits in the port.
+  EXPECT_TRUE(ServiceWd(wd, &wd_done));
+  ASSERT_TRUE(wd.pending_ack.has_value());
+  EXPECT_EQ(*wd.pending_ack, 1u);
+  EXPECT_TRUE(heartbeats.EmptyConsumer());
+  EXPECT_FALSE(WdCanProgress(wd));
+
+  // While ack 1 is pending, nothing behind it is drained.
+  ASSERT_TRUE(heartbeats.TryEmplace(RtMsg::Type::kHeartbeat, 2));
+  ASSERT_TRUE(heartbeats.TryEmplace(RtMsg::Type::kShutdown, 0));
+  EXPECT_FALSE(ServiceWd(wd, &wd_done));
+  EXPECT_FALSE(heartbeats.EmptyConsumer());
+  EXPECT_FALSE(WdCanProgress(wd));
+
+  // Each pop of the ack ring lets exactly one more ack out, in order.
+  for (uint32_t round = 0; round < 3; ++round) {
+    const RtMsg* ack = acks.Front();
+    ASSERT_NE(ack, nullptr);
+    EXPECT_EQ(ack->type, RtMsg::Type::kHeartbeatAck);
+    EXPECT_EQ(ack->seq, round);
+    acks.PopFront();
+    if (round < 2) {
+      EXPECT_TRUE(WdCanProgress(wd));
+      EXPECT_TRUE(ServiceWd(wd, &wd_done));
+    }
+  }
+  EXPECT_FALSE(wd.pending_ack.has_value());
+  EXPECT_TRUE(wd_done);
+  EXPECT_TRUE(heartbeats.EmptyConsumer());
+  EXPECT_EQ(acks.full_retries(), 3u);
+}
+
+// The watchdog rings take the data rings' capacity, so the 1- and 2-slot
+// stacks run every heartbeat and ack through a 1- or 2-slot ring.
+TEST(LiveStack, WatchdogCompletesOnOneAndTwoSlotRings) {
+  constexpr uint64_t kBytes = 256 * 1024;
+  const Fig2DesResult des = RunFig2Des(kBytes);
+  ASSERT_TRUE(des.completed);
+  for (const size_t slots : {size_t{1}, size_t{2}}) {
+    SCOPED_TRACE(std::to_string(slots) + "-slot rings");
+    LiveStackConfig cfg;
+    cfg.transfer_bytes = kBytes;
+    cfg.ring_capacity = slots;
+    const LiveStackResult r = RunLiveFig2(cfg);
+    ASSERT_TRUE(r.completed);
+    EXPECT_TRUE(r.conservation_ok);
+    EXPECT_GT(r.heartbeat_rounds, 0u);
+    EXPECT_EQ(r.digest, des.digest);
+    EXPECT_EQ(r.chunks, des.chunks);
+    EXPECT_EQ(r.payload_errors, 0u);
+  }
+}
+
 TEST(LiveStack, MiniStackMatchesFullStackDigest) {
   LiveStackConfig cfg;
   cfg.transfer_bytes = kTransfer;

@@ -2,8 +2,7 @@
 //
 // WiringTable checks the two tables themselves — src/os/stack_wiring.h for
 // the DES stack, src/runtime/live_wiring.h for the live one — for SPSC
-// discipline and wait-graph acyclicity, and pins each check's report on a
-// small synthetic table. WiringEquiv runs every DES configuration under its
+// discipline, and pins the check's report on a small synthetic table. WiringEquiv runs every DES configuration under its
 // own ChannelChecker and both live flavours, and compares the observed
 // wiring with that configuration's rendered table.
 
@@ -21,7 +20,6 @@
 #include "src/os/microreboot.h"
 #include "src/os/stack_wiring.h"
 #include "src/runtime/live_stack.h"
-#include "src/runtime/live_wiring.h"
 #include "src/workload/iperf.h"
 #include "src/workload/udp_flood.h"
 
@@ -36,13 +34,12 @@ StackConfig Configuration(bool use_pf, bool gateway) {
 }
 
 WiredRing Ring(std::string name, std::string consumer, std::vector<std::string> producers,
-               const char* shared = nullptr, const char* blocking = nullptr) {
+               const char* shared = nullptr) {
   WiredRing r;
   r.name = std::move(name);
   r.consumers = {std::move(consumer)};
   r.producers = std::move(producers);
   r.shared_reason = shared;
-  r.blocking_reason = blocking;
   return r;
 }
 
@@ -55,37 +52,26 @@ bool HasRing(const std::vector<WiredRing>& rings, const std::string& name) {
   return false;
 }
 
-TEST(WiringTable, StackTablesAreSpscAndAcyclic) {
+TEST(WiringTable, StackTablesAreSpsc) {
   std::vector<std::vector<WiredRing>> des;
   for (const bool use_pf : {false, true}) {
     for (const bool gateway : {false, true}) {
       des.push_back(StackRings(Configuration(use_pf, gateway)));
       EXPECT_TRUE(CheckSpsc(des.back()).empty())
           << "pf=" << use_pf << " gateway=" << gateway << ": " << CheckSpsc(des.back())[0];
-      EXPECT_TRUE(CheckWaitCycles(des.back(), "DES").empty());
     }
   }
   for (const bool mini : {false, true}) {
     const std::vector<WiredRing> live = LiveRings(mini);
-    const std::string graph = mini ? "live-mini" : "live-full";
     EXPECT_TRUE(CheckSpsc(live).empty()) << CheckSpsc(live)[0];
-    EXPECT_TRUE(CheckWaitCycles(live, graph).empty()) << CheckWaitCycles(live, graph)[0];
   }
-  // Every shared reason and blocking row names a ring some table builds.
+  // Every shared reason names a ring some configuration builds.
   for (const StackSharedRing& s : kStackSharedRings) {
     bool found = false;
     for (const auto& rings : des) {
       found = found || HasRing(rings, s.name);
     }
     EXPECT_TRUE(found) << "shared reason for a ring no configuration builds: " << s.name;
-  }
-  const std::vector<WiredRing> full = LiveRings(/*mini=*/false);
-  for (const LiveBlockingSpec& b : kLiveBlockingRings) {
-    bool found = false;
-    for (const WiredRing& r : full) {
-      found = found || (r.blocking_reason != nullptr && std::string(r.blocking_reason) == b.reason);
-    }
-    EXPECT_TRUE(found) << "blocking row matches no live ring: " << b.ring;
   }
 }
 
@@ -102,20 +88,6 @@ TEST(WiringTable, SharedRingWithReasonPasses) {
   EXPECT_TRUE(
       CheckSpsc({Ring("mux/shared", "mux", {"left", "right"}, "left and right both feed the mux")})
           .empty());
-}
-
-TEST(WiringTable, BlockingLoopFiresOnceWithCanonicalChain) {
-  // The search enters the loop at pong and reports it rotated to start at
-  // ping; alpha only waits into the loop, and the non-blocking alpha/in
-  // closes no second one.
-  const char* spin = "spins";
-  const std::vector<std::string> report = CheckWaitCycles(
-      {Ring("alpha/in", "alpha", {"pong"}), Ring("ping/in", "ping", {"pong"}, nullptr, spin),
-       Ring("pong/in", "pong", {"alpha", "ping"}, "both", spin)},
-      "fixture");
-  ASSERT_EQ(report.size(), 1u);
-  EXPECT_EQ(report[0],
-            "blocking-wait cycle in the fixture graph: ping -> pong/in -> pong -> ping/in -> ping");
 }
 
 TEST(WiringTable, CleanTableRendersCanonically) {

@@ -737,8 +737,7 @@ class Linter {
   // --- blocking-push: a producer busy-waiting on a ring push,
   // `while (!ring.Push(x))` / `->TryPush` / `.TryEmplace`. Backpressure must
   // park or drop, never spin: a spinning producer plus a blocked consumer is
-  // the deadlock shape the wait-graph check proves absent, and every
-  // sanctioned spin must be visible to it as a row of kLiveBlockingRings.
+  // a deadlock, and with no spin anywhere the ring graph has no wait edges.
   void CheckBlockingPush() {
     for (size_t l = 0; l < file_.code.size(); ++l) {
       const std::string& line = file_.code[l];
@@ -762,9 +761,8 @@ class Linter {
              (c >= 2 && cond.compare(c - 2, 2, "->") == 0));
         if (member_call) {
           Report("blocking-push", static_cast<int>(l + 1),
-                 "busy-wait on a ring push; park or shed instead — sanctioned "
-                 "spin sites need an inline waiver and a kLiveBlockingRings row "
-                 "naming the file (src/runtime/live_wiring.h)");
+                 "busy-wait on a ring push; keep the message (where it lies or "
+                 "in a one-slot pending buffer) and park or shed instead");
           break;
         }
       }

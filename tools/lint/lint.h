@@ -50,10 +50,9 @@
 //   blocking-push    a busy-wait loop on a ring push (`while (!q.Push(x))`
 //                    and the TryPush/TryEmplace variants) — a producer that
 //                    spins until its consumer drains turns backpressure into
-//                    a potential deadlock; the sanctioned spin sites carry an
-//                    inline waiver plus a kLiveBlockingRings row naming the
-//                    file (src/runtime/live_wiring.h), so the wait-graph
-//                    check knows about the wait edge
+//                    a potential deadlock; it keeps the message where it
+//                    lies (or in a one-slot pending buffer) and retries on
+//                    its next pass instead. No spin site is sanctioned
 
 #ifndef TOOLS_LINT_LINT_H_
 #define TOOLS_LINT_LINT_H_
