@@ -29,9 +29,14 @@ TEST(Affinity, CpuCountFollowsTheAffinityMask) {
 }
 
 TEST(Affinity, PinWrapsAroundAvailableCpus) {
-  // Pinning to a large index wraps mod the CPU count and succeeds.
+  // Pinning to a large index wraps mod the CPU count and succeeds. The mask
+  // is restored, so later tests in this process start unpinned.
+  cpu_set_t saved;
+  CPU_ZERO(&saved);
+  ASSERT_EQ(sched_getaffinity(0, sizeof(saved), &saved), 0);
   EXPECT_TRUE(PinThisThreadToCpu(1000));
   EXPECT_TRUE(PinThisThreadToCpu(0));
+  ASSERT_EQ(sched_setaffinity(0, sizeof(saved), &saved), 0);
 }
 
 TEST(Pipeline, AllMessagesSurviveOneStage) {
