@@ -171,7 +171,7 @@ inline uint64_t RtSegmentErrors(const RtMsg& h, const RtPayload& p) {
 struct LiveStackConfig {
   uint64_t transfer_bytes = 1 << 20;  // fig2-small default: 1 MiB
   uint32_t mss = 1460;                // must match the DES TcpParams::mss
-  size_t ring_capacity = 256;         // slots per data/ack ring
+  size_t ring_capacity = 256;         // slots per data, ack and watchdog ring
   uint32_t window_bytes = 64 * 1460;  // tcp in-flight cap (cumulative acks)
   bool mini = false;                  // 3-server stack (app, tcp, peer)
   bool pin_threads = true;            // role i -> cpu i, if it exists
